@@ -20,7 +20,7 @@ from .errors import InputParseError, XftError
 from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
 from .metrics import leakage_mean, max_norm_error, peak_frequency
-from .signals import CONVENTIONS, CORPUS_NAMES, SignalSpec, reference_transform, resolve_convention, sample
+from .signals import CONVENTIONS, CORPUS_NAMES, SignalSpec, reference_transform, sample
 from .transform import frft_forward, xft_forward
 
 _FMT = "{:.17g}"
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
         p.add_argument("--out", help="write to this path instead of stdout")
         p.add_argument("--convention", choices=CONVENTIONS,
-                       help="output normalization (default: oracle-resolved)")
+                       help="output normalization (default: paper)")
         if with_compare:
             p.add_argument("--compare", action="store_true",
                            help="add closed-form reference and error columns")
@@ -182,7 +182,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _transform_run(config: RunConfig) -> str:
-    convention = config.convention or resolve_convention()
+    convention = config.convention or "paper"
     scale = 1.0 if convention == "paper" else 1.0 / SQRT_2PI
 
     if isinstance(config.signal, SignalSpec):

@@ -1,21 +1,14 @@
 """Discrete Fourier transform with a positive-exponent forward convention.
 
-The forward transform applies the matrix D_F with entries e^{+i 2pi jk/N}; most
-FFT libraries use the negative sign, so everything here is computed in-repo.
-Power-of-two sizes run through an iterative radix-2 kernel with vectorized
-butterfly stages; other sizes fall back to direct summation.
+The forward transform applies the matrix D_F with entries e^{+i 2pi jk/N}.
+That is numpy's inverse FFT without its 1/N scale, so both directions run on
+numpy's pocketfft, O(N log N) for every N (Bluestein's chirp-z for sizes
+with large prime factors).
 """
 
 import numpy as np
 
 from .errors import InvalidSizeError, NonFiniteSignalError
-
-# Per-size caches for bit-reversal permutations and butterfly twiddles.  Plain
-# dict mutation is atomic under the GIL; worst case a value is computed twice.
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
-
-_NAIVE_CHUNK = 256
 
 
 def as_complex_signal(v) -> np.ndarray:
@@ -32,67 +25,11 @@ def as_complex_signal(v) -> np.ndarray:
     return out
 
 
-def _bitrev_indices(n: int) -> np.ndarray:
-    idx = _BITREV_CACHE.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        ar = np.arange(n)
-        idx = np.zeros(n, dtype=np.intp)
-        for b in range(bits):
-            idx = (idx << 1) | ((ar >> b) & 1)
-        _BITREV_CACHE[n] = idx
-    return idx
-
-
-def _twiddles(half: int) -> np.ndarray:
-    w = _TWIDDLE_CACHE.get(half)
-    if w is None:
-        w = np.exp(2j * np.pi * np.arange(half) / (2 * half))
-        _TWIDDLE_CACHE[half] = w
-    return w
-
-
-def _fft_pow2(v: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 FFT with the positive exponent, n a power of two."""
-    n = v.size
-    x = v[_bitrev_indices(n)].copy()
-    half = 1
-    while half < n:
-        w = _twiddles(half)
-        x = x.reshape(-1, 2 * half)
-        t = x[:, half:] * w
-        low = x[:, :half] + t
-        high = x[:, :half] - t
-        x[:, :half] = low
-        x[:, half:] = high
-        x = x.reshape(-1)
-        half *= 2
-    return x
-
-
-def _dft_naive(v: np.ndarray) -> np.ndarray:
-    """Direct summation in row chunks; O(n^2) but bounded memory."""
-    n = v.size
-    k = np.arange(n)
-    out = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, _NAIVE_CHUNK):
-        j = np.arange(start, min(start + _NAIVE_CHUNK, n))
-        out[j] = np.exp((2j * np.pi / n) * np.outer(j, k)) @ v
-    return out
-
-
 def dft_forward(v) -> np.ndarray:
     """Apply D_F: out[j] = sum_k e^{+i 2pi jk/N} v[k]."""
-    x = as_complex_signal(v)
-    n = x.size
-    if n == 1:
-        return x.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _dft_naive(x)
+    return np.fft.ifft(as_complex_signal(v), norm="forward")
 
 
 def dft_inverse(v) -> np.ndarray:
     """Apply D_F^{-1}: out[j] = (1/N) sum_k e^{-i 2pi jk/N} v[k]."""
-    x = as_complex_signal(v)
-    return np.conj(dft_forward(np.conj(x))) / x.size
+    return np.fft.fft(as_complex_signal(v), norm="forward")

@@ -6,6 +6,7 @@ large-n Gaussian (Mehler) limit on the uniform asymptotic grid.  Both are
 symmetric n x n matrices applied by plain matrix-vector products.
 """
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +26,9 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # z must stay this far from +-1 for mu, nu and the prefactor to be usable.
 SINGULARITY_EPS = 1e-6
+
+# Largest n for which the dense n x n Mehler kernel is built.
+MEHLER_LIMIT = 1024
 
 _DISK_TOL = 1e-12
 _ZERO_TOL = 1e-6
@@ -64,11 +68,19 @@ class KernelMatrix:
     params: Optional[TransformParams]
 
 
-def make_params(z: complex) -> TransformParams:
-    """Validate z (closed unit disk, away from +-1) and derive mu, nu, a."""
+def _disk_point(z) -> complex:
+    """z as a complex number; OutOfDomainError unless finite and |z| <= 1."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise OutOfDomainError(f"z = {z} is not a finite number")
     if abs(z) > 1.0 + _DISK_TOL:
         raise OutOfDomainError(f"|z| = {abs(z):.6f} lies outside the unit disk")
+    return z
+
+
+def make_params(z: complex) -> TransformParams:
+    """Validate z (closed unit disk, away from +-1) and derive mu, nu, a."""
+    z = _disk_point(z)
     one_minus = 1.0 - z * z
     if abs(one_minus) < SINGULARITY_EPS:
         raise SingularParameterError("z too close to +-1: 1 - z^2 is singular")
@@ -90,9 +102,7 @@ def exact_kernel(n: int, z: complex) -> KernelMatrix:
         raise InvalidSizeError("need n >= 1")
     if n > DENSE_ORACLE_LIMIT:
         raise CapabilityError(f"dense kernel limited to n <= {DENSE_ORACLE_LIMIT}")
-    z = complex(z)
-    if abs(z) > 1.0 + _DISK_TOL:
-        raise OutOfDomainError(f"|z| = {abs(z):.6f} lies outside the unit disk")
+    z = _disk_point(z)
     basis = orthonormal_basis(n)
     d = np.complex128(z) ** np.arange(n)
     entries = SQRT_2PI * ((basis.u.T * d) @ basis.u)
@@ -104,24 +114,37 @@ def exact_kernel(n: int, z: complex) -> KernelMatrix:
     return KernelMatrix(n=n, entries=entries, kind="exact", params=params)
 
 
+def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:
+    """Mehler-limit kernel on the uniform grid with output scale a = scale.
+
+    entries[j,k] = sqrt(2/(1-z^2)) exp(-mu a^2 t_j^2) exp(a nu t_j t_k)
+                   exp(-mu t_k^2) dt.
+
+    Raises CapabilityError before allocating when n > MEHLER_LIMIT.
+    """
+    if n > MEHLER_LIMIT:
+        raise CapabilityError(f"dense Mehler kernel limited to n <= {MEHLER_LIMIT}")
+    grid = asymptotic_grid(n)
+    t = grid.nodes
+    left = np.exp(-params.mu * (scale * scale) * t * t)
+    right = np.exp(-params.mu * t * t)
+    cross = np.exp((scale * params.nu) * np.outer(t, t))
+    return (params.prefactor * grid.spacing) * (np.outer(left, right) * cross)
+
+
 def asymptotic_kernel(n: int, z: complex) -> KernelMatrix:
     """Mehler-limit kernel on the uniform grid, with the node spacing as weight.
 
     entries[j,k] = sqrt(2/(1-z^2)) exp(-mu t_j^2) exp(nu t_j t_k)
-                   exp(-mu t_k^2) dt.
+                   exp(-mu t_k^2) dt, the output-scale-1 case of
+    mehler_entries.
 
     The upper triangle is mirrored onto the lower one, so the symmetry
     invariant holds bitwise even where fused complex multiplies round
     a*b and b*a differently.
     """
-    if n < 1:
-        raise InvalidSizeError("need n >= 1")
     params = make_params(z)
-    grid = asymptotic_grid(n)
-    t = grid.nodes
-    edge = np.exp(-params.mu * t * t)
-    cross = np.exp(params.nu * np.outer(t, t))
-    entries = (params.prefactor * grid.spacing) * (np.outer(edge, edge) * cross)
+    entries = mehler_entries(n, params, 1.0)
     lower = np.tril_indices(n, -1)
     entries[lower] = entries.T[lower]
     return KernelMatrix(n=n, entries=entries, kind="asymptotic", params=params)

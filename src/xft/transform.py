@@ -7,21 +7,19 @@ z-dependent chirp diagonals gives the fractional transform for any z in the
 closed unit disk away from 0 and +-1.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dft_engine import as_complex_signal, dft_forward, dft_inverse
-from .errors import CapabilityError
 from .hermite import asymptotic_grid
-from .kernel_dense import TransformParams, make_params
+from .kernel_dense import TransformParams, make_params, mehler_entries
 
-_DENSE_CHECK_LIMIT = 1024
-
-# S and the z-dependent chirp diagonals, cached per size and per exact bit
-# pattern of z.
-_S_CACHE: dict[int, np.ndarray] = {}
-_FRFT_CHIRP_CACHE: dict[tuple, tuple] = {}
+# Chirp diagonals kept per size and per exact bit pattern of z.  The bound
+# covers every (N, z) pair a caller cycling over a few sizes and z keeps hot,
+# while a stream of fresh z cannot grow memory without limit.
+_CHIRP_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -34,32 +32,25 @@ class SpectrumResult:
     params: TransformParams
 
 
+@functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
 def _base_chirp(n: int) -> np.ndarray:
-    s = _S_CACHE.get(n)
-    if s is None:
-        s = np.exp((-1j * np.pi * (n - 1) / n) * np.arange(n))
-        _S_CACHE[n] = s
-    return s
+    return np.exp((-1j * np.pi * (n - 1) / n) * np.arange(n))
 
 
 def _front_constant(n: int) -> complex:
     return np.pi * np.exp(1j * np.pi * (n - 1) ** 2 / (2 * n)) / np.sqrt(2 * n)
 
 
-def _frft_chirps(n: int, params: TransformParams):
-    """Diagonals S1 = e^{-mu a^2 t^2} S and S2 = e^{-mu t^2} S."""
-    z = params.z
-    key = (n, z.real.hex(), z.imag.hex())
-    cached = _FRFT_CHIRP_CACHE.get(key)
-    if cached is None:
-        t = asymptotic_grid(n).nodes
-        s = _base_chirp(n)
-        a = params.require_a()
-        s1 = np.exp(-params.mu * (a * a) * t * t) * s
-        s2 = np.exp(-params.mu * t * t) * s
-        cached = (s1, s2)
-        _FRFT_CHIRP_CACHE[key] = cached
-    return cached
+@functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
+def _frft_chirps(n: int, z_real_hex: str, z_imag_hex: str):
+    """Diagonals S1 = e^{-mu a^2 t^2} S and S2 = e^{-mu t^2} S, keyed by z's bits."""
+    params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
+    t = asymptotic_grid(n).nodes
+    s = _base_chirp(n)
+    a = params.require_a()
+    s1 = np.exp(-params.mu * (a * a) * t * t) * s
+    s2 = np.exp(-params.mu * t * t) * s
+    return s1, s2
 
 
 def xft_forward(g) -> SpectrumResult:
@@ -68,18 +59,7 @@ def xft_forward(g) -> SpectrumResult:
     out = (pi e^{i pi (N-1)^2 / 2N} / sqrt(2N)) * S * D_F * (S * g) with
     S_jj = e^{-i pi (N-1) j / N}.
     """
-    x = as_complex_signal(g)
-    n = x.size
-    s = _base_chirp(n)
-    values = _front_constant(n) * (s * dft_forward(s * x))
-    params = make_params(1j)
-    a = params.require_a()
-    return SpectrumResult(
-        values=values,
-        abscissae=a * asymptotic_grid(n).nodes.astype(np.complex128),
-        scale_a=a,
-        params=params,
-    )
+    return frft_forward(g, 1j)
 
 
 def xft_inverse(G) -> np.ndarray:
@@ -100,14 +80,14 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     """Fractional transform at parameter z, evaluated at the abscissae a*t_j.
 
     out = sqrt(2/(1-z^2)) * c * S1 * D_F * (S2 * g) with the chirp diagonals
-    of _frft_chirps.  At z = i the diagonals collapse to S and this reduces
-    exactly to xft_forward.
+    of _frft_chirps.  At z = i the diagonals collapse to S: xft_forward is
+    that case.
     """
     x = as_complex_signal(g)
     n = x.size
     params = make_params(z)
     a = params.require_a()
-    s1, s2 = _frft_chirps(n, params)
+    s1, s2 = _frft_chirps(n, params.z.real.hex(), params.z.imag.hex())
     values = params.prefactor * (_front_constant(n) * (s1 * dft_forward(s2 * x)))
     return SpectrumResult(
         values=values,
@@ -124,15 +104,5 @@ def frft_dense_check(g, z: complex) -> np.ndarray:
                    e^{-mu t_k^2} dt, applied by direct summation.
     """
     x = as_complex_signal(g)
-    n = x.size
-    if n > _DENSE_CHECK_LIMIT:
-        raise CapabilityError(f"dense check limited to n <= {_DENSE_CHECK_LIMIT}")
     params = make_params(z)
-    a = params.require_a()
-    grid = asymptotic_grid(n)
-    t = grid.nodes
-    left = np.exp(-params.mu * (a * a) * t * t)
-    right = np.exp(-params.mu * t * t)
-    cross = np.exp((a * params.nu) * np.outer(t, t))
-    kernel = (params.prefactor * grid.spacing) * (np.outer(left, right) * cross)
-    return kernel @ x
+    return mehler_entries(x.size, params, params.require_a()) @ x

@@ -184,6 +184,11 @@ class TestTransformRuns:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_z_is_out_of_domain(self, capsys):
+        status = main(["frft", "--n", "8", "--signal", "rect", "--z-arg", "nan"])
+        assert status == 1
+        assert "error: z = (nan+nanj) is not a finite number" in capsys.readouterr().err
+
     def test_namias_convention_rescales(self, tmp_path):
         base = ["fft", "--n", "32", "--signal", "gauss_beta", "--param", "beta=0"]
         _, paper_text = run_to_file(tmp_path, base + ["--convention", "paper"], "p.csv")

@@ -1,6 +1,7 @@
 """Transform parameters and the two dense kernel constructions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ class TestMakeParams:
         with pytest.raises(OutOfDomainError):
             make_params(-1.02)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0, float("inf")), complex("nan+1j")])
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(OutOfDomainError, match="not a finite number"):
+            make_params(z)
+
 
 class TestExactKernel:
     def test_identity_at_z_one(self):
@@ -129,6 +135,10 @@ class TestExactKernel:
         with pytest.raises(OutOfDomainError):
             exact_kernel(8, 1.5)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(OutOfDomainError, match="not a finite number"):
+            exact_kernel(8, complex("nan"))
+
 
 class TestAsymptoticKernel:
     def test_boundary_quarter_turn_entries(self):
@@ -172,6 +182,17 @@ class TestAsymptoticKernel:
                 out_asym = apply_kernel(asym, np.exp(-t_asym * t_asym / 2.0))
                 errs.append(np.max(np.abs(out_exact - out_asym)))
             assert errs[2] < errs[0], f"no improvement for z={z}: {errs}"
+
+    def test_size_cap_before_allocation(self):
+        # a 1025 x 1025 complex kernel would take 16.8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError):
+                asymptotic_kernel(1025, 0.5j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestApplyKernel:

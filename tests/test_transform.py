@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from xft import transform
 from xft.errors import (
     AbsentScalingError,
     CapabilityError,
     InvalidSizeError,
+    OutOfDomainError,
     SingularParameterError,
 )
 from xft.hermite import asymptotic_grid
@@ -88,7 +90,7 @@ class TestBoundaryTransform:
 
 
 class TestInverse:
-    @pytest.mark.parametrize("n", [9, 64, 256, 300])
+    @pytest.mark.parametrize("n", [9, 64, 256, 300, 1009])
     def test_roundtrip(self, n):
         g = random_signal(n, n)
         back = xft_inverse(xft_forward(g).values)
@@ -123,12 +125,12 @@ class TestFractional:
 
     @pytest.mark.parametrize("z", [1j, np.exp(0.5j), 0.7 * np.exp(0.5j)])
     def test_matches_dense_kernel_application(self, z):
-        n = 128
-        g = random_signal(n, 3)
-        fast = frft_forward(g, z).values
-        dense = frft_dense_check(g, z)
-        rel = np.max(np.abs(fast - dense)) / np.max(np.abs(dense))
-        assert rel < 1e-9
+        for n in (128, 1021):
+            g = random_signal(n, 3)
+            fast = frft_forward(g, z).values
+            dense = frft_dense_check(g, z)
+            rel = np.max(np.abs(fast - dense)) / np.max(np.abs(dense))
+            assert rel < 1e-9, f"n={n}: {rel:.2e}"
 
     def test_delta_extracts_kernel_column(self):
         n, col = 64, 20
@@ -162,9 +164,18 @@ class TestFractional:
         second = frft_forward(g, np.exp(0.7j)).values
         assert np.array_equal(first, second)
 
+    def test_chirp_cache_is_bounded(self):
+        for k in range(2 * transform._CHIRP_CACHE_SIZE):
+            frft_forward(np.ones(16), np.exp(1j * (0.1 + 0.01 * k)))
+        assert transform._frft_chirps.cache_info().currsize == transform._CHIRP_CACHE_SIZE
+
     def test_origin_has_no_transform(self):
         with pytest.raises(AbsentScalingError):
             frft_forward(np.ones(8), 0.0)
+
+    def test_non_finite_parameter(self):
+        with pytest.raises(OutOfDomainError, match="not a finite number"):
+            frft_forward(np.ones(8), complex("nan"))
 
     def test_singular_parameter(self):
         with pytest.raises(SingularParameterError):
