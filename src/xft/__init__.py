@@ -13,7 +13,6 @@ from .errors import (
     AbsentScalingError,
     CapabilityError,
     ComplexAbscissaeError,
-    ConvergenceFailure,
     InputParseError,
     InvalidSizeError,
     NoClosedFormError,
@@ -58,7 +57,6 @@ __all__ = [
     "AbsentScalingError",
     "CapabilityError",
     "ComplexAbscissaeError",
-    "ConvergenceFailure",
     "CONVENTIONS",
     "CORPUS_NAMES",
     "DENSE_ORACLE_LIMIT",

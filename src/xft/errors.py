@@ -13,14 +13,6 @@ class NonFiniteSignalError(XftError):
     """Signal construction saw NaN or Inf samples."""
 
 
-class ConvergenceFailure(XftError):
-    """Iterative refinement did not reach the requested tolerance."""
-
-    def __init__(self, message: str, worst_residual: float):
-        super().__init__(f"{message} (worst residual {worst_residual:.3e})")
-        self.worst_residual = worst_residual
-
-
 class CapabilityError(XftError):
     """Requested size exceeds what the dense path supports; use the fast path."""
 
@@ -34,7 +26,7 @@ class SingularParameterError(XftError):
 
 
 class AbsentScalingError(XftError):
-    """The output scaling a = 2i(1-z^2)/(pi z) is undefined (z = 0)."""
+    """The output scaling a = 2i(1-z^2)/(pi z) is undefined (|z| < 1e-6)."""
 
 
 class NoClosedFormError(XftError):

@@ -1,9 +1,13 @@
 """Hermite-polynomial machinery: asymptotic nodes, exact zeros, eigenvectors.
 
-The symmetric tridiagonal matrix H with off-diagonal entries sqrt(m/2) has the
-zeros of the degree-n Hermite polynomial as eigenvalues.  Its orthonormal
-eigenvectors, evaluated through a rescaled three-term recurrence, provide the
-dense transform kernels.  For large n the zeros near the center approach the
+The symmetric tridiagonal Jacobi matrix J with off-diagonal entries sqrt(m/2)
+has the zeros of the degree-n Hermite polynomial as eigenvalues (Golub &
+Welsch 1969); a dense symmetric eigenvalue solve plus one Newton step gives
+them to machine precision.  The orthonormal eigenvectors are evaluated through
+a rescaled three-term recurrence at those zeros rather than taken from the
+eigensolver, whose vectors are accurate only in absolute terms and lose the
+relative accuracy of their tiny leading components.  They provide the dense
+transform kernels.  For large n the zeros near the center approach the
 uniform grid t_k = pi*(k - (n-1)/2)/sqrt(2n), which is the working grid of the
 fast transform path.
 """
@@ -12,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceFailure, InvalidSizeError
+from .errors import CapabilityError, InvalidSizeError
 
-# Largest n for which dense eigenvector computations are offered.  Intermediate
-# Hermite values reach ~exp(t^2/2) <= exp(512) here, safely below overflow.
+# Largest n for which exact zeros and the dense eigenbasis are offered.
+# Intermediate Hermite values reach ~exp(t^2/2) <= exp(512) here, safely below
+# overflow.
 DENSE_ORACLE_LIMIT = 512
-
-_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -81,98 +84,38 @@ def scaled_hermite_sequence(n_max: int, t):
     return out
 
 
-def _hermite_last_two(n: int, t: np.ndarray):
-    """Return (h_{n-1}(t), h_n(t)) without storing the whole sequence."""
-    prev = np.full_like(t, np.pi ** -0.25)
-    if n == 0:
-        return None, prev
-    cur = t * np.sqrt(2.0) * prev
-    for m in range(1, n):
-        prev, cur = cur, t * np.sqrt(2.0 / (m + 1)) * cur - np.sqrt(m / (m + 1)) * prev
-    return prev, cur
-
-
-def _sturm_count(x: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of the Jacobi matrix strictly below each x.
-
-    Counts negative pivots of the LDL^T factorization of H - xI.  The diagonal
-    of H is zero, so the pivot recurrence is d <- -x - b^2/d.
-    """
-    tiny = np.finfo(np.float64).tiny
-    d = -x.astype(np.float64)
-    d = np.where(d == 0.0, -tiny, d)
-    count = (d < 0).astype(np.int64)
-    for m in range(1, b_sq.size + 1):
-        d = -x - b_sq[m - 1] / d
-        d = np.where(d == 0.0, -tiny, d)
-        count += d < 0
-    return count
-
-
-def exact_hermite_zeros(n: int, tol: float = 1e-14) -> np.ndarray:
+def exact_hermite_zeros(n: int) -> np.ndarray:
     """Compute the n real zeros of the degree-n Hermite polynomial, ascending.
 
-    Each positive zero is bracketed by Sturm-count bisection on the Jacobi
-    matrix (a guaranteed enclosure), then polished by Newton iteration using
-    h_n'(t) = sqrt(2n) h_{n-1}(t).  The negative zeros are the mirror image,
-    and for odd n the middle zero is exactly 0.
-
-    Raises ConvergenceFailure if some Newton step is still larger than tol
-    after the iteration cap.
-    """
-    if n < 1:
-        raise InvalidSizeError("need n >= 1")
-    if not 0 < tol < 1e-6:
-        raise ValueError("tol must lie in (0, 1e-6)")
-    if n == 1:
-        return np.zeros(1)
-
-    m = n // 2
-    b_sq = np.arange(1, n, dtype=np.float64) / 2.0
-    radius = np.sqrt(2.0 * n) + 1.0
-
-    # Bracket the positive zeros, eigenvalue indices n-m .. n-1.
-    want = np.arange(n - m, n)
-    lo = np.zeros(m)
-    hi = np.full(m, radius)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        above = _sturm_count(mid, b_sq) > want
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-
-    t = 0.5 * (lo + hi)
-    sqrt2n = np.sqrt(2.0 * n)
-    worst = np.inf
-    for _ in range(_NEWTON_CAP):
-        h_prev, h_n = _hermite_last_two(n, t)
-        step = h_n / (sqrt2n * h_prev)
-        t = t - step
-        worst = np.abs(step).max()
-        if worst <= tol:
-            break
-    else:
-        raise ConvergenceFailure("Hermite zero refinement did not converge", worst)
-
-    if n % 2:
-        return np.concatenate([-t[::-1], [0.0], t])
-    return np.concatenate([-t[::-1], t])
-
-
-def orthonormal_basis(n: int) -> EigenBasis:
-    """Exact zeros plus the orthonormal eigenvector matrix of the Jacobi matrix.
-
-    Column k is proportional to (h_0(t_k), ..., h_{n-1}(t_k)) and is
-    renormalized to unit length; h_0 > 0 makes the first component positive.
-    Only offered for n <= DENSE_ORACLE_LIMIT.
+    The zeros are the eigenvalues of the Jacobi matrix (Golub & Welsch 1969),
+    each polished by one Newton step with h_n'(t) = sqrt(2n) h_{n-1}(t).
+    Averaging with the mirror image makes them bitwise antisymmetric, so for
+    odd n the middle zero is exactly 0.  Only offered for
+    n <= DENSE_ORACLE_LIMIT.
     """
     if n < 1:
         raise InvalidSizeError("need n >= 1")
     if n > DENSE_ORACLE_LIMIT:
         raise CapabilityError(
-            f"dense basis limited to n <= {DENSE_ORACLE_LIMIT}; use the fast transform path"
+            f"dense Hermite oracle limited to n <= {DENSE_ORACLE_LIMIT}; use the fast transform path"
         )
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    h = scaled_hermite_sequence(n, t)
+    t -= h[n] / (np.sqrt(2.0 * n) * h[n - 1])
+    return (t - t[::-1]) / 2.0
+
+
+def orthonormal_basis(n: int) -> EigenBasis:
+    """Exact zeros plus the orthonormal eigenvector matrix of the Jacobi matrix.
+
+    Column k is proportional to (h_0(t_k), ..., h_{n-1}(t_k)).  It is first
+    divided by |h_{n-1}(t_k)|, which by Christoffel-Darboux is its length over
+    sqrt(n), so the squares taken by the norm stay finite; h_0 > 0 makes the
+    first component positive.  Raises as exact_hermite_zeros does.
+    """
     zeros = exact_hermite_zeros(n)
     u = scaled_hermite_sequence(n - 1, zeros)
+    u /= np.abs(u[n - 1])
     u /= np.linalg.norm(u, axis=0)
     return EigenBasis(n=n, zeros=zeros, u=u)

@@ -20,7 +20,7 @@ from .errors import (
     OutOfDomainError,
     SingularParameterError,
 )
-from .hermite import DENSE_ORACLE_LIMIT, asymptotic_grid, orthonormal_basis
+from .hermite import asymptotic_grid, orthonormal_basis
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -39,7 +39,7 @@ class TransformParams:
     """Validated transform parameter z with its derived quantities.
 
     mu = (1+z^2)/(2(1-z^2)), nu = 2z/(1-z^2), a = 2i(1-z^2)/(pi z) (None when
-    z = 0), prefactor = principal sqrt(2/(1-z^2)).
+    |z| < 1e-6), prefactor = principal sqrt(2/(1-z^2)).
     """
 
     z: complex
@@ -50,7 +50,9 @@ class TransformParams:
 
     def require_a(self) -> complex:
         if self.a is None:
-            raise AbsentScalingError("output scaling undefined at z = 0")
+            raise AbsentScalingError(
+                f"output scaling undefined for |z| = {abs(self.z):.1e} below {_ZERO_TOL:.0e}"
+            )
         return self.a
 
 
@@ -98,10 +100,6 @@ def exact_kernel(n: int, z: complex) -> KernelMatrix:
     Stable for all n up to the dense limit; the literal closed-form entry
     formula would overflow past n of about 20.
     """
-    if n < 1:
-        raise InvalidSizeError("need n >= 1")
-    if n > DENSE_ORACLE_LIMIT:
-        raise CapabilityError(f"dense kernel limited to n <= {DENSE_ORACLE_LIMIT}")
     z = _disk_point(z)
     basis = orthonormal_basis(n)
     d = np.complex128(z) ** np.arange(n)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dft_engine import as_complex_signal
 from .errors import NoClosedFormError, SignalSpecError
-from .hermite import Grid
+from .hermite import Grid, orthonormal_basis
 from .kernel_dense import SQRT_2PI, apply_kernel, exact_kernel
 
 CORPUS_NAMES = ("chirp_cos", "cauchy_exp", "harmonic", "gauss_beta", "constant_one", "rect")
@@ -146,8 +146,6 @@ def resolve_convention(n: int = 64) -> str:
     Applies the exact kernel at z = i to samples of e^{-t^2/2} at the exact
     zeros and compares against both candidate scales of the self-transform.
     """
-    from .hermite import orthonormal_basis
-
     basis = orthonormal_basis(n)
     g = np.exp(-basis.zeros ** 2 / 2)
     got = apply_kernel(exact_kernel(n, 1j), g)

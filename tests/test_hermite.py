@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 from numpy.testing import assert_allclose
 
-from xft.errors import CapabilityError, ConvergenceFailure, InvalidSizeError
+from xft.errors import CapabilityError, InvalidSizeError
 from xft.hermite import (
     DENSE_ORACLE_LIMIT,
     asymptotic_grid,
@@ -141,15 +141,23 @@ class TestExactHermiteZeros:
         assert np.all(outer[:-1] < inner)
         assert np.all(inner < outer[1:])
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            exact_hermite_zeros(8, tol=0.0)
-        with pytest.raises(ValueError):
-            exact_hermite_zeros(8, tol=1e-3)
-
     def test_rejects_nonpositive_size(self):
         with pytest.raises(InvalidSizeError):
             exact_hermite_zeros(0)
+
+    def test_high_precision_sign_changes_at_dense_limit(self):
+        # independent of the recurrence and of hermgauss: the physicists'
+        # H_n at 40 digits changes sign across each float zero
+        mpmath = pytest.importorskip("mpmath")
+        n = DENSE_ORACLE_LIMIT
+        zeros = exact_hermite_zeros(n)
+        with mpmath.workdps(40):
+            for k in (n // 2, 3 * n // 4, n - 1):
+                t = mpmath.mpf(float(zeros[k]))
+                delta = 4e-14 * max(1.0, abs(t))
+                below = mpmath.hermite(n, t - delta)
+                above = mpmath.hermite(n, t + delta)
+                assert mpmath.sign(below) * mpmath.sign(above) < 0
 
 
 class TestOrthonormalBasis:
@@ -159,17 +167,18 @@ class TestOrthonormalBasis:
         assert_allclose(basis.zeros, [-r, r], rtol=1e-15)
         assert_allclose(basis.u, [[r, r], [-r, r]], rtol=1e-14, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 16, 64])
+    @pytest.mark.parametrize("n", [1, 16, 64, 371, DENSE_ORACLE_LIMIT])
     def test_columns_orthonormal(self, n):
         u = orthonormal_basis(n).u
         gram = u.T @ u
         assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
     def test_first_components_positive(self):
-        basis = orthonormal_basis(33)
-        assert np.all(basis.u[0] > 0)
+        for n in (33, DENSE_ORACLE_LIMIT):
+            basis = orthonormal_basis(n)
+            assert np.all(basis.u[0] > 0)
 
-    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("n", [8, 64, 371, DENSE_ORACLE_LIMIT])
     def test_columns_are_jacobi_eigenvectors(self, n):
         # the recurrence matrix J with off-diagonal sqrt(m/2) has the same
         # eigenvectors; residual J u_k - t_k u_k must be tiny
@@ -193,6 +202,8 @@ class TestOrthonormalBasis:
     def test_dense_size_cap(self):
         with pytest.raises(CapabilityError):
             orthonormal_basis(DENSE_ORACLE_LIMIT + 1)
+        with pytest.raises(CapabilityError):
+            exact_hermite_zeros(DENSE_ORACLE_LIMIT + 1)
 
 
 class TestKernelSummationIdentity:

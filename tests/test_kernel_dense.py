@@ -1,6 +1,7 @@
 """Transform parameters and the two dense kernel constructions."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from xft.errors import (
     OutOfDomainError,
     SingularParameterError,
 )
-from xft.hermite import asymptotic_grid, orthonormal_basis
+from xft.hermite import DENSE_ORACLE_LIMIT, asymptotic_grid, orthonormal_basis
 from xft.kernel_dense import (
     SQRT_2PI,
     apply_kernel,
@@ -43,10 +44,13 @@ class TestMakeParams:
         assert abs(make_params(0.5 * np.exp(0.8j)).a.imag) > 1e-3
 
     def test_origin_has_no_scaling(self):
-        p = make_params(0.0)
-        assert p.a is None
-        with pytest.raises(AbsentScalingError):
-            p.require_a()
+        # the message names the measured |z| and the threshold, also for a
+        # z that is not exactly 0
+        for z, shown in ((0.0, "0.0e+00"), (1e-7j, "1.0e-07")):
+            p = make_params(z)
+            assert p.a is None
+            with pytest.raises(AbsentScalingError, match=re.escape(f"|z| = {shown} below 1e-06")):
+                p.require_a()
 
     def test_prefactor_principal_branch(self):
         # sqrt(2/(1-z^2)) with positive real part on the right half plane
@@ -77,9 +81,10 @@ class TestMakeParams:
 
 class TestExactKernel:
     def test_identity_at_z_one(self):
-        k = exact_kernel(8, 1.0)
-        assert_allclose(k.entries, SQRT_2PI * np.eye(8), rtol=0, atol=1e-12)
-        assert k.params is None  # no chirp parameters exist at z = 1
+        for n in (8, DENSE_ORACLE_LIMIT):
+            k = exact_kernel(n, 1.0)
+            assert_allclose(k.entries, SQRT_2PI * np.eye(n), rtol=0, atol=1e-12)
+            assert k.params is None  # no chirp parameters exist at z = 1
 
     def test_rank_one_at_origin(self):
         n = 6
@@ -102,17 +107,17 @@ class TestExactKernel:
         assert_allclose(out, SQRT_2PI * g[::-1], rtol=0, atol=1e-10)
 
     def test_semigroup_product(self):
-        n = 24
         z1, z2 = np.exp(1j / 3.0), np.exp(1j / 4.0)
-        lhs = exact_kernel(n, z1).entries @ exact_kernel(n, z2).entries
-        rhs = SQRT_2PI * exact_kernel(n, z1 * z2).entries
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+        for n in (24, DENSE_ORACLE_LIMIT):
+            lhs = exact_kernel(n, z1).entries @ exact_kernel(n, z2).entries
+            rhs = SQRT_2PI * exact_kernel(n, z1 * z2).entries
+            assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_fourth_power_at_boundary(self):
-        n = 16
-        k = exact_kernel(n, 1j).entries
-        fourth = np.linalg.matrix_power(k, 4)
-        assert np.max(np.abs(fourth - (2.0 * math.pi) ** 2 * np.eye(n))) < 1e-8
+        for n in (16, DENSE_ORACLE_LIMIT):
+            k = exact_kernel(n, 1j).entries
+            fourth = np.linalg.matrix_power(k, 4)
+            assert np.max(np.abs(fourth - (2.0 * math.pi) ** 2 * np.eye(n))) < 1e-8
 
     def test_gaussian_is_near_eigenfunction(self):
         # e^{-t^2/2} transforms to itself up to the total-mass factor; the
