@@ -7,11 +7,9 @@ JSON with at least 15 significant digits per value.
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -24,24 +22,6 @@ from .signals import CONVENTIONS, CORPUS_NAMES, SignalSpec, reference_transform,
 from .transform import frft_forward, xft_forward
 
 _FMT = "{:.17g}"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; signal is a SignalSpec or an input-file path."""
-
-    command: str
-    n: Optional[int] = None
-    z_mod: float = 1.0
-    z_arg: float = np.pi / 2
-    signal: Union[SignalSpec, str, None] = None
-    output_format: str = "csv"
-    compare: bool = False
-    convention: Optional[str] = None
-    out: Optional[str] = None
-    min_exp: int = 10
-    max_exp: int = 19
-    repeats: int = 3
 
 
 def load_signal(path: str) -> np.ndarray:
@@ -67,21 +47,6 @@ def load_signal(path: str) -> np.ndarray:
     if not rows:
         raise InputParseError(f"{path} contains no samples")
     return np.asarray(rows, dtype=np.complex128)
-
-
-def _thread_cap() -> int:
-    """Validate XFT_THREADS; the engine is vectorized single-threaded, so any
-    positive cap behaves identically."""
-    raw = os.environ.get("XFT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputParseError(f"XFT_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise InputParseError(f"XFT_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _parse_param(text: str):
@@ -120,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="CSV file of samples instead of --signal")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
         p.add_argument("--out", help="write to this path instead of stdout")
-        p.add_argument("--convention", choices=CONVENTIONS,
+        p.add_argument("--convention", choices=CONVENTIONS, default="paper",
                        help="output normalization (default: paper)")
         if with_compare:
             p.add_argument("--compare", action="store_true",
@@ -147,32 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    if args.command in ("fft", "frft"):
-        if bool(args.signal) == bool(args.input):
-            parser.error("exactly one of --signal / --input is required")
-        if args.input and args.compare:
-            parser.error("--compare needs a corpus --signal with a closed form")
-        signal = SignalSpec(args.signal, dict(args.param)) if args.signal else args.input
-        return RunConfig(
-            command=args.command,
-            n=args.n,
-            z_mod=getattr(args, "z_mod", 1.0),
-            z_arg=getattr(args, "z_arg", np.pi / 2),
-            signal=signal,
-            output_format=args.output_format,
-            compare=args.compare,
-            convention=args.convention,
-            out=args.out,
-        )
-    if args.command == "bench":
-        if args.min_exp > args.max_exp:
-            parser.error("--min-exp must not exceed --max-exp")
-        return RunConfig(command="bench", min_exp=args.min_exp, max_exp=args.max_exp,
-                         repeats=args.repeats, output_format=args.output_format, out=args.out)
-    return RunConfig(command="corpus-check", out=args.out)
-
-
 def _emit(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
@@ -181,40 +120,40 @@ def _emit(text: str, out: Optional[str]):
             fh.write(text)
 
 
-def _transform_run(config: RunConfig) -> str:
-    convention = config.convention or "paper"
+def _transform_run(args: argparse.Namespace) -> str:
+    convention = args.convention
     scale = 1.0 if convention == "paper" else 1.0 / SQRT_2PI
 
-    if isinstance(config.signal, SignalSpec):
-        g = sample(config.signal, asymptotic_grid(config.n))
+    spec = SignalSpec(args.signal, dict(args.param)) if args.signal else None
+    if spec is not None:
+        g = sample(spec, asymptotic_grid(args.n))
     else:
-        g = as_complex_signal(load_signal(config.signal))
-        if g.size != config.n:
-            raise InputParseError(f"--n {config.n} but {config.signal} has {g.size} rows")
+        g = as_complex_signal(load_signal(args.input))
+        if g.size != args.n:
+            raise InputParseError(f"--n {args.n} but {args.input} has {g.size} rows")
 
-    if config.command == "fft":
+    if args.command == "fft":
         result = xft_forward(g)
     else:
-        z = config.z_mod * np.exp(1j * config.z_arg)
+        z = args.z_mod * np.exp(1j * args.z_arg)
         result = frft_forward(g, z)
     values = result.values * scale
 
     refs = None
     summary = {"convention": convention}
-    if config.compare:
+    if args.compare:
         refs = np.asarray(
-            reference_transform(config.signal, complex(result.params.z),
-                                result.abscissae, convention))
+            reference_transform(spec, complex(result.params.z), result.abscissae, convention))
         report = max_norm_error(values, refs)
         summary["max_norm"] = report.max_norm
         summary["max_norm_real"] = report.max_norm_real
         summary["max_norm_imag"] = report.max_norm_imag
-    if isinstance(config.signal, SignalSpec) and config.signal.name == "harmonic":
+    if args.signal == "harmonic":
         summary["leakage_mean"] = leakage_mean(values)
         summary["peak_frequency"] = peak_frequency(result)
 
     om = result.abscissae
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "convention": convention,
             "omega_re": list(om.real),
@@ -242,25 +181,23 @@ def _transform_run(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bench_run(config: RunConfig) -> str:
+def _bench_run(args: argparse.Namespace) -> str:
     rng = np.random.default_rng(0)
     rows = []
-    for p in range(config.min_exp, config.max_exp + 1):
+    for p in range(args.min_exp, args.max_exp + 1):
         n = 2 ** p
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xft_forward(g)  # warm caches before timing
-        best = min(_time_once(g) for _ in range(config.repeats))
-        rows.append((n, best))
-    if config.output_format == "json":
+        times = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            xft_forward(g)
+            times.append(time.perf_counter() - start)
+        rows.append((n, min(times)))
+    if args.output_format == "json":
         return json.dumps({"n": [r[0] for r in rows], "seconds": [r[1] for r in rows]}) + "\n"
     lines = ["n,seconds"] + [f"{n},{_FMT.format(sec)}" for n, sec in rows]
     return "\n".join(lines) + "\n"
-
-
-def _time_once(g) -> float:
-    start = time.perf_counter()
-    xft_forward(g)
-    return time.perf_counter() - start
 
 
 def _within(value: float, target: float, frac: float = 0.05) -> bool:
@@ -328,7 +265,7 @@ def _corpus_checks():
     yield ("two-pulse identity", height_ok, "; ".join(details) or "all exact")
 
 
-def _corpus_run(config: RunConfig) -> tuple[str, int]:
+def _corpus_run() -> tuple[str, int]:
     lines = []
     failures = 0
     for name, ok, detail in _corpus_checks():
@@ -338,26 +275,31 @@ def _corpus_run(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", (1 if failures else 0)
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
-    _thread_cap()
-    if config.command in ("fft", "frft"):
-        _emit(_transform_run(config), config.out)
+    if args.command in ("fft", "frft"):
+        _emit(_transform_run(args), args.out)
         return 0
-    if config.command == "bench":
-        _emit(_bench_run(config), config.out)
+    if args.command == "bench":
+        _emit(_bench_run(args), args.out)
         return 0
-    text, status = _corpus_run(config)
-    _emit(text, config.out)
+    text, status = _corpus_run()
+    _emit(text, args.out)
     return status
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args, parser)
+    if args.command in ("fft", "frft"):
+        if bool(args.signal) == bool(args.input):
+            parser.error("exactly one of --signal / --input is required")
+        if args.input and args.compare:
+            parser.error("--compare needs a corpus --signal with a closed form")
+    if args.command == "bench" and args.min_exp > args.max_exp:
+        parser.error("--min-exp must not exceed --max-exp")
     try:
-        return run(config)
+        return run(args)
     except XftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -206,25 +206,6 @@ class TestTransformRuns:
         assert text.splitlines()[0].startswith("j,omega_re")
 
 
-class TestEnvironment:
-    def test_invalid_thread_cap(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("XFT_THREADS", "zero")
-        status = main(["fft", "--n", "8", "--signal", "rect"])
-        assert status == 1
-        assert "XFT_THREADS" in capsys.readouterr().err
-
-    def test_nonpositive_thread_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("XFT_THREADS", "0")
-        status = main(["fft", "--n", "8", "--signal", "rect"])
-        assert status == 1
-        capsys.readouterr()
-
-    def test_valid_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("XFT_THREADS", "4")
-        status, _ = run_to_file(tmp_path, ["fft", "--n", "8", "--signal", "rect"])
-        assert status == 0
-
-
 class TestCorpusAndBench:
     def test_corpus_check_passes(self, tmp_path):
         status, text = run_to_file(tmp_path, ["corpus-check"])

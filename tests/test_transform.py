@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xft import transform
@@ -83,6 +85,22 @@ class TestBoundaryTransform:
             errs.append(np.max(np.abs(result.values - math.pi * np.exp(-np.abs(w)))))
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] < 1e-2
+
+    @pytest.mark.parametrize("n", [2**19, 100003])
+    def test_impulse_matches_high_precision_entries(self, n):
+        # the entry phase reaches about pi n / 2, so a chirp phase rounded
+        # before its reduction mod 2 pi is off by about n ulps here
+        mpmath = pytest.importorskip("mpmath")
+        k = n // 3
+        delta = np.zeros(n)
+        delta[k] = 1.0
+        out = xft_forward(delta).values
+        scale = math.pi / math.sqrt(2.0 * n)
+        with mpmath.workdps(40):
+            half = mpmath.mpf(n - 1) / 2
+            for j in (0, 1, n // 7, n // 2, n - 2, n - 1):
+                ref = scale * complex(mpmath.expjpi(2 * (j - half) * (k - half) / n))
+                assert abs(out[j] - ref) < 1e-13 * scale, f"j={j}: {abs(out[j] - ref) / scale:.2e}"
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidSizeError):
@@ -167,7 +185,7 @@ class TestFractional:
     def test_chirp_cache_is_bounded(self):
         for k in range(2 * transform._CHIRP_CACHE_SIZE):
             frft_forward(np.ones(16), np.exp(1j * (0.1 + 0.01 * k)))
-        assert transform._frft_chirps.cache_info().currsize == transform._CHIRP_CACHE_SIZE
+        assert transform._plan.cache_info().currsize == transform._CHIRP_CACHE_SIZE
 
     def test_origin_has_no_transform(self):
         with pytest.raises(AbsentScalingError):
@@ -184,6 +202,26 @@ class TestFractional:
     def test_dense_check_size_cap(self):
         with pytest.raises(CapabilityError):
             frft_dense_check(np.ones(1025), 1j)
+
+
+# wall time per example varies with machine load; a slow example is no failure
+@settings(deadline=None)
+@given(st.integers(1, 4096), st.integers(0, 2**32 - 1))
+def test_roundtrip_at_every_size(n, seed):
+    g = random_signal(n, seed)
+    back = xft_inverse(xft_forward(g).values)
+    assert np.max(np.abs(back - g)) < 1e-10 * np.max(np.abs(g))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4096), st.integers(0, 2**32 - 1), st.floats(0.05, math.pi - 0.05))
+def test_unit_circle_norm_identity(n, seed, phi):
+    # on |z| = 1 both chirps are unimodular, |c| = pi / sqrt(2N) and D_F is
+    # sqrt(N) times a unitary matrix
+    g = random_signal(n, seed)
+    result = frft_forward(g, np.exp(1j * phi))
+    expected = abs(result.params.prefactor) * math.pi / math.sqrt(2.0) * np.linalg.norm(g)
+    assert abs(np.linalg.norm(result.values) - expected) < 1e-9 * expected
 
 
 class TestHalfIntegerPulses:
