@@ -135,19 +135,16 @@ def _transform_run(args: argparse.Namespace) -> str:
     if args.command == "fft":
         result = xft_forward(g)
     else:
-        z = args.z_mod * np.exp(1j * args.z_arg)
-        result = frft_forward(g, z)
+        result = frft_forward(g, args.z_mod * np.exp(1j * args.z_arg))
     values = result.values * scale
 
     refs = None
     summary = {"convention": convention}
     if args.compare:
-        refs = np.asarray(
-            reference_transform(spec, complex(result.params.z), result.abscissae, convention))
+        refs = reference_transform(spec, complex(result.params.z), result.abscissae, convention)
         report = max_norm_error(values, refs)
-        summary["max_norm"] = report.max_norm
-        summary["max_norm_real"] = report.max_norm_real
-        summary["max_norm_imag"] = report.max_norm_imag
+        for key in ("max_norm", "max_norm_real", "max_norm_imag"):
+            summary[key] = getattr(report, key)
     if args.signal == "harmonic":
         summary["leakage_mean"] = leakage_mean(values)
         summary["peak_frequency"] = peak_frequency(result)
@@ -168,14 +165,14 @@ def _transform_run(args: argparse.Namespace) -> str:
         return json.dumps(payload) + "\n"
 
     header = ["j", "omega_re", "omega_im", "G_re", "G_im"]
-    columns = [np.arange(om.size), om.real, om.imag, values.real, values.imag]
+    columns = [om.real, om.imag, values.real, values.imag]
     if refs is not None:
         header += ["ref_re", "ref_im", "abs_err"]
         columns += [refs.real, refs.imag, np.abs(values - refs)]
+    row = ",".join(["{}"] + [_FMT] * len(columns))
     lines = [",".join(header)]
-    for j in range(om.size):
-        cells = [str(int(columns[0][j]))] + [_FMT.format(col[j]) for col in columns[1:]]
-        lines.append(",".join(cells))
+    # one row at a time: tolist() on the whole table holds every cell as a float object
+    lines += [row.format(j, *r.tolist()) for j, r in enumerate(np.column_stack(columns))]
     tail = " ".join(f"{k}={v if isinstance(v, str) else _FMT.format(v)}" for k, v in summary.items())
     lines.append(f"# summary {tail}")
     return "\n".join(lines) + "\n"
@@ -200,56 +197,62 @@ def _bench_run(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _within(value: float, target: float, frac: float = 0.05) -> bool:
-    return abs(value - target) <= frac * abs(target)
+# The corpus regressions: (signal, params, z, n, measure, target, tol).  A
+# check holds when |value - target| <= tol; tol None means 5% of |target|,
+# and the peak rows allow half an output bin, 2/sqrt(2n).
+CORPUS_CHECKS = (
+    ("chirp_cos", {}, 1j, 512, "max_norm", 2.11, None),
+    ("chirp_cos", {}, 1j, 1024, "max_norm", 2.08, None),
+    ("cauchy_exp", {"b": 2.0}, 1j, 512, "max_norm", 0.4262, None),
+    ("cauchy_exp", {"b": 2.0}, 1j, 1024, "max_norm", 0.105, None),
+    ("harmonic", {"omega0": 5.156}, 1j, 1024, "leakage_mean", 0.14105, None),
+    ("harmonic", {"omega0": 5.156}, 1j, 1024, "peak_frequency", 5.17072, 2 / np.sqrt(2 * 1024)),
+    ("harmonic", {"omega0": 5.156}, 1j, 2048, "leakage_mean", 0.00276, None),
+    ("harmonic", {"omega0": 5.156}, 1j, 2048, "peak_frequency", 5.15625, 2 / np.sqrt(2 * 2048)),
+    ("gauss_beta", {"beta": 2.0}, np.exp(1j), 512, "max_norm", 0.0, 1e-10),
+    ("constant_one", {}, np.exp(0.6774j), 512, "max_norm_real", 1.3282, None),
+    ("constant_one", {}, np.exp(0.6774j), 512, "max_norm_imag", 1.42694, None),
+)
+
+
+def corpus_measure(signal: str, params: dict, z: complex, n: int, measure: str) -> float:
+    """Sample a corpus signal on n points, transform at z, measure the output."""
+    spec = SignalSpec(signal, params)
+    result = frft_forward(sample(spec, asymptotic_grid(n)), z)
+    if measure == "leakage_mean":
+        return leakage_mean(result.values)
+    if measure == "peak_frequency":
+        return peak_frequency(result)
+    ref = reference_transform(spec, complex(z), result.abscissae)
+    return getattr(max_norm_error(result.values, ref), measure)
+
+
+def corpus_margin(signal, params, z, n, measure, target, tol):
+    """(value, tol, margin) of one CORPUS_CHECKS row; it holds when margin >= 0."""
+    value = corpus_measure(signal, params, z, n, measure)
+    tol = 0.05 * abs(target) if tol is None else tol
+    return value, tol, tol - abs(value - target)
+
+
+def rect_peaks() -> list:
+    """max|G| of the 512-point unit rectangle at phi = pi/2, 1, 0.5, 0.25; it grows as phi drops."""
+    g = sample(SignalSpec("rect"), asymptotic_grid(512))
+    return [float(np.abs(frft_forward(g, np.exp(1j * phi)).values).max())
+            for phi in (np.pi / 2, 1.0, 0.5, 0.25)]
 
 
 def _corpus_checks():
     """Yield (name, ok, detail) for every built-in regression."""
-    for n, target in ((512, 2.11), (1024, 2.08)):
-        g = sample(SignalSpec("chirp_cos"), asymptotic_grid(n))
-        r = xft_forward(g)
-        err = max_norm_error(r.values, reference_transform(SignalSpec("chirp_cos"), 1j, r.abscissae)).max_norm
-        yield (f"chirp_cos n={n}", _within(err, target), f"max_norm={err:.4f} expected~{target}")
+    for signal, params, z, n, measure, target, tol in CORPUS_CHECKS:
+        value, tol, margin = corpus_margin(signal, params, z, n, measure, target, tol)
+        given = "".join(f" {k}={v:g}" for k, v in params.items())
+        yield (f"{signal}{given} z={complex(z):.4g} n={n} {measure}", margin >= 0,
+               f"value={value:.6g} target={target:g} tol={tol:.3g} margin={margin:.3g}")
 
-    for n, target in ((512, 0.4262), (1024, 0.105)):
-        spec = SignalSpec("cauchy_exp", {"b": 2.0})
-        g = sample(spec, asymptotic_grid(n))
-        r = xft_forward(g)
-        err = max_norm_error(r.values, reference_transform(spec, 1j, r.abscissae)).max_norm
-        yield (f"cauchy_exp b=2 n={n}", _within(err, target), f"max_norm={err:.4f} expected~{target}")
-
-    for n, leak, peak in ((1024, 0.14105, 5.17072), (2048, 0.00276, 5.15625)):
-        g = sample(SignalSpec("harmonic", {"omega0": 5.156}), asymptotic_grid(n))
-        r = xft_forward(g)
-        mu = leakage_mean(r.values)
-        pk = peak_frequency(r)
-        half_bin = 2.0 / np.sqrt(2 * n)
-        ok = _within(mu, leak) and abs(pk - peak) <= half_bin
-        yield (f"harmonic 5.156 n={n}", ok, f"leakage={mu:.5f}~{leak} peak={pk:.5f}~{peak}")
-
-    spec = SignalSpec("gauss_beta", {"beta": 2.0})
-    g = sample(spec, asymptotic_grid(512))
-    r = frft_forward(g, np.exp(1j))
-    err = max_norm_error(r.values, reference_transform(spec, complex(np.exp(1j)), r.abscissae)).max_norm
-    yield ("gauss_beta beta=2 phi=1 n=512", err < 1e-10, f"max_norm={err:.2e} bound 1e-10")
-
-    z = np.exp(0.6774j)
-    r = frft_forward(np.ones(512), z)
-    ref = reference_transform(SignalSpec("constant_one"), complex(z), r.abscissae)
-    rep = max_norm_error(r.values, ref)
-    ok = _within(rep.max_norm_real, 1.3282) and _within(rep.max_norm_imag, 1.42694)
-    yield ("constant_one phi=0.6774 n=512", ok,
-           f"re={rep.max_norm_real:.4f}~1.3282 im={rep.max_norm_imag:.4f}~1.42694")
-
-    peaks = []
-    g = sample(SignalSpec("rect"), asymptotic_grid(512))
-    for phi in (np.pi / 2, 1.0, 0.5, 0.25):
-        peaks.append(np.abs(frft_forward(g, np.exp(1j * phi)).values).max())
+    peaks = rect_peaks()
     ok = all(a < b for a, b in zip(peaks, peaks[1:]))
     yield ("rect peak growth as phi drops", ok, "peaks " + ", ".join(f"{p:.3f}" for p in peaks))
 
-    height_ok = True
     details = []
     for n, ms in ((9, (1.0, 3.0)), (257, (1.0, 3.0)), (8, (1.5, 3.5)), (256, (1.5, 3.5))):
         for m in ms:
@@ -260,32 +263,16 @@ def _corpus_checks():
             pulse_err = np.abs(mags[-2:] / height - 1).max()
             off = mags[:-2].max() / height if n > 2 else 0.0
             if pulse_err > 1e-9 or off > 1e-9:
-                height_ok = False
                 details.append(f"n={n} m={m}: pulse_err={pulse_err:.1e} off={off:.1e}")
-    yield ("two-pulse identity", height_ok, "; ".join(details) or "all exact")
+    yield ("two-pulse identity", not details, "; ".join(details) or "all exact")
 
 
 def _corpus_run() -> tuple[str, int]:
-    lines = []
-    failures = 0
-    for name, ok, detail in _corpus_checks():
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    lines.append(f"{'all checks passed' if not failures else f'{failures} check(s) failed'}")
+    checks = list(_corpus_checks())
+    failures = sum(not ok for _, ok, _ in checks)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
+    lines.append("all checks passed" if not failures else f"{failures} check(s) failed")
     return "\n".join(lines) + "\n", (1 if failures else 0)
-
-
-def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
-    if args.command in ("fft", "frft"):
-        _emit(_transform_run(args), args.out)
-        return 0
-    if args.command == "bench":
-        _emit(_bench_run(args), args.out)
-        return 0
-    text, status = _corpus_run()
-    _emit(text, args.out)
-    return status
 
 
 def main(argv=None) -> int:
@@ -299,7 +286,14 @@ def main(argv=None) -> int:
     if args.command == "bench" and args.min_exp > args.max_exp:
         parser.error("--min-exp must not exceed --max-exp")
     try:
-        return run(args)
+        if args.command == "corpus-check":
+            text, status = _corpus_run()
+        elif args.command == "bench":
+            text, status = _bench_run(args), 0
+        else:
+            text, status = _transform_run(args), 0
+        _emit(text, args.out)
+        return status
     except XftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ class NonFiniteSignalError(XftError):
 
 
 class CapabilityError(XftError):
-    """Requested size exceeds what the dense path supports; use the fast path."""
+    """Beyond what a path computes: a dense size over its limit, or a damped chirp that overflows."""
 
 
 class OutOfDomainError(XftError):

@@ -58,7 +58,7 @@ class TransformParams:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense symmetric kernel; kind is 'exact' or 'asymptotic'.
+    """Dense symmetric n x n kernel.
 
     params is None only for exact kernels at z = +-1, where the derived
     mu/nu/prefactor do not exist but the kernel itself is regular.
@@ -66,7 +66,6 @@ class KernelMatrix:
 
     n: int
     entries: np.ndarray
-    kind: str
     params: Optional[TransformParams]
 
 
@@ -109,7 +108,7 @@ def exact_kernel(n: int, z: complex) -> KernelMatrix:
         params = make_params(z)
     except SingularParameterError:
         params = None
-    return KernelMatrix(n=n, entries=entries, kind="exact", params=params)
+    return KernelMatrix(n=n, entries=entries, params=params)
 
 
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:
@@ -145,7 +144,7 @@ def asymptotic_kernel(n: int, z: complex) -> KernelMatrix:
     entries = mehler_entries(n, params, 1.0)
     lower = np.tril_indices(n, -1)
     entries[lower] = entries.T[lower]
-    return KernelMatrix(n=n, entries=entries, kind="asymptotic", params=params)
+    return KernelMatrix(n=n, entries=entries, params=params)
 
 
 def apply_kernel(kernel: KernelMatrix, g) -> np.ndarray:

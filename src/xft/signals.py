@@ -82,12 +82,6 @@ def sample(spec: SignalSpec, grid: Grid) -> np.ndarray:
     return as_complex_signal(out)
 
 
-def _boundary_phi(z: complex, name: str) -> float:
-    if abs(abs(z) - 1.0) > _BOUNDARY_TOL:
-        raise NoClosedFormError(f"{name} has a closed form only on |z| = 1")
-    return float(np.angle(z))
-
-
 def _require_z_i(z: complex, name: str):
     if abs(z - 1j) > _BOUNDARY_TOL:
         raise NoClosedFormError(f"{name} has a closed form only at z = i")
@@ -120,12 +114,13 @@ def reference_transform(spec: SignalSpec, z: complex, omega, convention: str = "
         safe = np.where(small, 1.0, w)
         val = np.where(small, 1.0 - w * w / 24, 2 * np.sin(safe / 2) / safe)
     elif spec.name == "gauss_beta":
+        # the coherent-state image under z^n: it holds on the whole disk
         beta = _param(spec, "beta")
-        phi = _boundary_phi(z, spec.name)
-        e = np.exp(1j * phi)
-        val = SQRT_2PI * np.exp(-w * w / 2 - 0.5j * beta * beta * e * np.sin(phi) + beta * w * e)
+        val = SQRT_2PI * np.exp(-w * w / 2 + beta * z * w - beta * beta * (z * z - 1) / 4)
     elif spec.name == "constant_one":
-        phi = _boundary_phi(z, spec.name)
+        if abs(abs(z) - 1.0) > _BOUNDARY_TOL:
+            raise NoClosedFormError("constant_one has a closed form only on |z| = 1")
+        phi = float(np.angle(z))
         c = np.cos(phi)
         if abs(c) < 1e-12:
             raise NoClosedFormError("constant_one closed form degenerates at phi = pi/2")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft_engine import as_complex_signal, dft_forward, dft_inverse
+from .errors import CapabilityError
 from .hermite import asymptotic_grid
 from .kernel_dense import TransformParams, make_params, mehler_entries
 
@@ -24,6 +25,8 @@ _CHIRP_CACHE_SIZE = 32
 # The _plan key of z = i, shared by xft_forward and xft_inverse.
 _Z_I_KEY = ((0.0).hex(), (1.0).hex())
 
+_EXP_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78: exp above it overflows
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -31,7 +34,6 @@ class SpectrumResult:
 
     values: np.ndarray
     abscissae: np.ndarray
-    scale_a: complex
     params: TransformParams
 
 
@@ -48,16 +50,23 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
 
     front = prefactor * c * S1 and back = S2, with S1 = e^{-mu a^2 t^2} S,
     S2 = e^{-mu t^2} S and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), whose
-    phase is reduced mod 2 pi in integers like that of S.  Errors are not
+    phase is reduced mod 2 pi in integers like that of S.  A chirp that
+    would overflow raises CapabilityError before any exp.  Errors are not
     cached, so only a valid z enters the cache.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
     a = params.require_a()
     t = asymptotic_grid(n).nodes
     s = _base_chirp(n)
+    front_exp = -params.mu * (a * a) * t * t
+    back_exp = -params.mu * t * t
+    peak = max(front_exp.real.max(), back_exp.real.max())
+    if peak > _EXP_MAX:
+        raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
+                              f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
-    front = (params.prefactor * c) * (np.exp(-params.mu * (a * a) * t * t) * s)
-    back = np.exp(-params.mu * t * t) * s
+    front = (params.prefactor * c) * (np.exp(front_exp) * s)
+    back = np.exp(back_exp) * s
     return params, front, back
 
 
@@ -94,6 +103,10 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     -2i sin(2 phi) k^2 / N (k = j - (N-1)/2) reaches N |sin 2 phi| / 2 rad,
     about 2.6e5 at N = 2^19.  Its error there is conditioning in z, not
     rounding: a one-ulp change of z moves the phase about as much.
+
+    For damped z with arg z outside about (pi/4, 3pi/4), the chirp exponents'
+    real parts grow like N; once one passes log(float64 max) ~ 709.78 this
+    raises CapabilityError naming N, z and the exponent, before any exp.
     """
     x = as_complex_signal(g)
     n = x.size
@@ -102,7 +115,6 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     return SpectrumResult(
         values=front * dft_forward(back * x),
         abscissae=params.a * asymptotic_grid(n).nodes.astype(np.complex128),
-        scale_a=params.a,
         params=params,
     )
 

@@ -144,13 +144,15 @@ class TestTransformRuns:
         assert abs(max(errs) - float(summary["max_norm"])) < 1e-12
 
     def test_frft_compare_gauss(self, tmp_path):
-        status, text = run_to_file(
-            tmp_path,
-            ["frft", "--n", "256", "--signal", "gauss_beta", "--param", "beta=2",
-             "--z-arg", "1.0", "--compare"])
-        assert status == 0
-        _, _, summary = parse_csv(text)
-        assert float(summary["max_norm"]) < 1e-10
+        # the gauss_beta closed form holds on the whole disk, not only |z| = 1
+        for z_mod in ("1", "0.9"):
+            status, text = run_to_file(
+                tmp_path,
+                ["frft", "--n", "256", "--signal", "gauss_beta", "--param", "beta=2",
+                 "--z-arg", "1.0", "--z-mod", z_mod, "--compare"])
+            assert status == 0
+            _, _, summary = parse_csv(text)
+            assert float(summary["max_norm"]) < 1e-10
 
     def test_json_matches_csv_exactly(self, tmp_path):
         args = ["fft", "--n", "64", "--signal", "rect", "--compare"]
@@ -188,6 +190,13 @@ class TestTransformRuns:
         status = main(["frft", "--n", "8", "--signal", "rect", "--z-arg", "nan"])
         assert status == 1
         assert "error: z = (nan+nanj) is not a finite number" in capsys.readouterr().err
+
+    def test_damped_overflow_is_an_error(self, tmp_path, capsys):
+        status = main(["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1", "--signal", "rect",
+                       "--out", str(tmp_path / "out.csv")])
+        assert status == 1
+        assert "error: chirp at N = 1024" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_namias_convention_rescales(self, tmp_path):
         base = ["fft", "--n", "32", "--signal", "gauss_beta", "--param", "beta=0"]

@@ -18,6 +18,7 @@ from xft.errors import (
 )
 from xft.hermite import asymptotic_grid
 from xft.kernel_dense import make_params
+from xft.signals import SignalSpec, reference_transform, sample
 from xft.transform import (
     frft_dense_check,
     frft_forward,
@@ -60,8 +61,8 @@ class TestBoundaryTransform:
         n = 64
         result = xft_forward(np.ones(n))
         grid = asymptotic_grid(n)
-        assert_allclose(result.scale_a, 4.0 / math.pi, rtol=1e-15)
-        assert_allclose(result.abscissae, result.scale_a * grid.nodes, rtol=0, atol=0)
+        assert_allclose(result.params.a, 4.0 / math.pi, rtol=1e-15)
+        assert_allclose(result.abscissae, result.params.a * grid.nodes, rtol=0, atol=0)
         assert np.max(np.abs(np.asarray(result.abscissae).imag)) < 1e-12
 
     def test_cosine_becomes_two_pulses(self):
@@ -174,7 +175,6 @@ class TestFractional:
     def test_params_attached(self):
         result = frft_forward(np.ones(8), np.exp(0.25j))
         assert result.params.z == np.exp(0.25j)
-        assert result.scale_a == result.params.a
 
     def test_repeat_call_uses_cached_chirps(self):
         g = random_signal(32, 8)
@@ -203,6 +203,13 @@ class TestFractional:
         with pytest.raises(CapabilityError):
             frft_dense_check(np.ones(1025), 1j)
 
+    def test_damped_chirp_overflow_is_refused(self):
+        # arg z = 0.1 lies outside the sector where both chirps decay; at
+        # N = 1024 the exponent's real part passes log(float64 max)
+        g = np.exp(-asymptotic_grid(1024).nodes ** 2 / 2.0)
+        with pytest.raises(CapabilityError, match="N = 1024.*exponent real part"):
+            frft_forward(g, 0.5 * np.exp(0.1j))
+
 
 # wall time per example varies with machine load; a slow example is no failure
 @settings(deadline=None)
@@ -222,6 +229,23 @@ def test_unit_circle_norm_identity(n, seed, phi):
     result = frft_forward(g, np.exp(1j * phi))
     expected = abs(result.params.prefactor) * math.pi / math.sqrt(2.0) * np.linalg.norm(g)
     assert abs(np.linalg.norm(result.values) - expected) < 1e-9 * expected
+
+
+# inside this sector of arg z both damped chirp exponents decay, so the fast
+# path is finite at every N
+_DECAYING_ARG = (math.pi / 4 + 0.15, 3 * math.pi / 4 - 0.15)
+
+
+@settings(deadline=None)
+@given(st.floats(0.5, 1.0, exclude_max=True), st.floats(*_DECAYING_ARG), st.integers(64, 4096),
+       st.floats(-2.0, 2.0))
+def test_damped_gauss_beta_matches_whole_disk_closed_form(mod, arg, n, beta):
+    # below N = 64 quadrature truncation, not the transform, sets the error
+    spec = SignalSpec("gauss_beta", {"beta": beta})
+    z = mod * np.exp(1j * arg)
+    result = frft_forward(sample(spec, asymptotic_grid(n)), z)
+    ref = reference_transform(spec, z, result.abscissae)
+    assert np.max(np.abs(result.values - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestHalfIntegerPulses:
