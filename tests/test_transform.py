@@ -237,10 +237,12 @@ _DECAYING_ARG = (math.pi / 4 + 0.15, 3 * math.pi / 4 - 0.15)
 
 
 @settings(deadline=None)
-@given(st.floats(0.5, 1.0, exclude_max=True), st.floats(*_DECAYING_ARG), st.integers(64, 4096),
+@given(st.floats(0.5, 1.0, exclude_max=True), st.floats(*_DECAYING_ARG), st.integers(80, 4096),
        st.floats(-2.0, 2.0))
 def test_damped_gauss_beta_matches_whole_disk_closed_form(mod, arg, n, beta):
-    # below N = 64 quadrature truncation, not the transform, sets the error
+    # below N = 80 quadrature truncation, not the transform, sets the error:
+    # at N = 64, |z| -> 1 and |beta| = 2 it is 2.8e-12 of max|ref| while the
+    # fast path still agrees with frft_dense_check to 1.3e-15
     spec = SignalSpec("gauss_beta", {"beta": beta})
     z = mod * np.exp(1j * arg)
     result = frft_forward(sample(spec, asymptotic_grid(n)), z)
