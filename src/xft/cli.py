@@ -7,6 +7,7 @@ JSON with at least 15 significant digits per value.
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -19,7 +20,7 @@ from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
 from .metrics import leakage_mean, max_norm_error, peak_frequency
 from .signals import CONVENTIONS, CORPUS_NAMES, SignalSpec, reference_transform, sample
-from .transform import frft_forward, xft_forward
+from .transform import frft_forward, xft_forward, xft_inverse
 
 _FMT = "{:.17g}"
 
@@ -178,22 +179,37 @@ def _transform_run(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _best_seconds(op, repeats: int) -> float:
+    """Best wall time of op() over repeats calls, after one call that warms caches."""
+    op()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        op()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+_BENCH_COLUMNS = ("n", "seconds", "frft_seconds", "roundtrip_seconds")
+
+
 def _bench_run(args: argparse.Namespace) -> str:
+    """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, and the xft round trip."""
     rng = np.random.default_rng(0)
+    z = np.exp(0.7j)
     rows = []
     for p in range(args.min_exp, args.max_exp + 1):
         n = 2 ** p
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xft_forward(g)  # warm caches before timing
-        times = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            xft_forward(g)
-            times.append(time.perf_counter() - start)
-        rows.append((n, min(times)))
+        ops = (lambda: xft_forward(g), lambda: frft_forward(g, z),
+               lambda: xft_inverse(xft_forward(g).values))
+        rows.append((n, *(_best_seconds(op, args.repeats) for op in ops)))
     if args.output_format == "json":
-        return json.dumps({"n": [r[0] for r in rows], "seconds": [r[1] for r in rows]}) + "\n"
-    lines = ["n,seconds"] + [f"{n},{_FMT.format(sec)}" for n, sec in rows]
+        payload = {key: [r[i] for r in rows] for i, key in enumerate(_BENCH_COLUMNS)}
+        payload.update(numpy=np.__version__, nproc=os.cpu_count())
+        return json.dumps(payload) + "\n"
+    lines = [",".join(_BENCH_COLUMNS)]
+    lines += [",".join([str(n)] + [_FMT.format(sec) for sec in secs]) for n, *secs in rows]
     return "\n".join(lines) + "\n"
 
 

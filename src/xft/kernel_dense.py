@@ -33,6 +33,8 @@ MEHLER_LIMIT = 1024
 _DISK_TOL = 1e-12
 _ZERO_TOL = 1e-6
 
+_EXP_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78: exp above it overflows
+
 
 @dataclass(frozen=True)
 class TransformParams:
@@ -111,22 +113,39 @@ def exact_kernel(n: int, z: complex) -> KernelMatrix:
     return KernelMatrix(n=n, entries=entries, params=params)
 
 
+def outer_exponents(params: TransformParams, scale: complex, t: np.ndarray):
+    """(-mu scale^2 t^2, -mu t^2): the exponents of the kernel's two outer chirps.
+
+    Raises CapabilityError naming N, z and the exponent when a real part
+    passes log(float64 max), so the caller's exp would overflow.  With
+    scale = a the cross exponent a nu t_j t_k = (4i/pi) t_j t_k is purely
+    imaginary, so these two are the only ones that can.
+    """
+    left = -params.mu * (scale * scale) * t * t
+    right = -params.mu * t * t
+    peak = max(left.real.max(), right.real.max())
+    if peak > _EXP_MAX:
+        raise CapabilityError(f"chirp at N = {t.size}, z = {params.z:.6g} overflows float64: "
+                              f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
+    return left, right
+
+
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:
     """Mehler-limit kernel on the uniform grid with output scale a = scale.
 
     entries[j,k] = sqrt(2/(1-z^2)) exp(-mu a^2 t_j^2) exp(a nu t_j t_k)
                    exp(-mu t_k^2) dt.
 
-    Raises CapabilityError before allocating when n > MEHLER_LIMIT.
+    Raises CapabilityError before allocating when n > MEHLER_LIMIT, and
+    before any exp when an outer exponent would overflow (outer_exponents).
     """
     if n > MEHLER_LIMIT:
         raise CapabilityError(f"dense Mehler kernel limited to n <= {MEHLER_LIMIT}")
     grid = asymptotic_grid(n)
     t = grid.nodes
-    left = np.exp(-params.mu * (scale * scale) * t * t)
-    right = np.exp(-params.mu * t * t)
+    left, right = outer_exponents(params, scale, t)
     cross = np.exp((scale * params.nu) * np.outer(t, t))
-    return (params.prefactor * grid.spacing) * (np.outer(left, right) * cross)
+    return (params.prefactor * grid.spacing) * (np.outer(np.exp(left), np.exp(right)) * cross)
 
 
 def asymptotic_kernel(n: int, z: complex) -> KernelMatrix:

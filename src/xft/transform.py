@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_engine import as_complex_signal, dft_forward, dft_inverse
-from .errors import CapabilityError
+from .dft_engine import as_complex_signal, as_complex_vector, dft_forward, dft_inverse
 from .hermite import asymptotic_grid
-from .kernel_dense import TransformParams, make_params, mehler_entries
+from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
 
 # Plans kept per size and per exact bit pattern of z.  The bound covers every
 # (N, z) pair a caller cycling over a few sizes and z keeps hot, while a
@@ -25,7 +24,9 @@ _CHIRP_CACHE_SIZE = 32
 # The _plan key of z = i, shared by xft_forward and xft_inverse.
 _Z_I_KEY = ((0.0).hex(), (1.0).hex())
 
-_EXP_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78: exp above it overflows
+# numpy's NPY_MIN_ELIDE_BYTES: from this size on, numpy evaluates front * tmp,
+# tmp a temporary such as an FFT result, in place as tmp *= front.
+_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,12 @@ class SpectrumResult:
     """Transform samples plus the abscissae a*t_j they approximate."""
 
     values: np.ndarray
-    abscissae: np.ndarray
     params: TransformParams
+
+    @functools.cached_property
+    def abscissae(self) -> np.ndarray:
+        """a*t_j, computed on first read: most callers only need the values."""
+        return self.params.a * asymptotic_grid(self.values.size).nodes
 
 
 @functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
@@ -55,15 +60,8 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     cached, so only a valid z enters the cache.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
-    a = params.require_a()
-    t = asymptotic_grid(n).nodes
+    front_exp, back_exp = outer_exponents(params, params.require_a(), asymptotic_grid(n).nodes)
     s = _base_chirp(n)
-    front_exp = -params.mu * (a * a) * t * t
-    back_exp = -params.mu * t * t
-    peak = max(front_exp.real.max(), back_exp.real.max())
-    if peak > _EXP_MAX:
-        raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
-                              f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
     front = (params.prefactor * c) * (np.exp(front_exp) * s)
     back = np.exp(back_exp) * s
@@ -85,11 +83,15 @@ def xft_inverse(G) -> np.ndarray:
     xft_forward applies front * D_F * back with the diagonals front = c * S
     and back = S, so the inverse divides them out around the inverse DFT:
     g = D_F^{-1}(G / front) / back.  The round trip is algebraic, not
-    iterative.
+    iterative.  Like frft_forward it works in one buffer of its own.
     """
-    x = as_complex_signal(G)
+    x = as_complex_vector(G)
     _, front, back = _plan(x.size, *_Z_I_KEY)
-    return dft_inverse(x / front) / back
+    with np.errstate(invalid="ignore"):  # Inf in G: dft_inverse raises NonFiniteSignalError
+        y = x / front
+    dft_inverse(y, out=y)
+    y /= back
+    return y
 
 
 def frft_forward(g, z: complex) -> SpectrumResult:
@@ -107,16 +109,26 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     For damped z with arg z outside about (pi/4, 3pi/4), the chirp exponents'
     real parts grow like N; once one passes log(float64 max) ~ 709.78 this
     raises CapabilityError naming N, z and the exponent, before any exp.
+
+    One pass over one buffer the call owns: y = back * g, the DFT in place in
+    y, then y *= front; g is never written.  g is checked only for shape here.
+    Its one finite check is dft_forward's, on back * g, which the finite
+    chirps leave non-finite wherever g is, so NaN or Inf still raises
+    NonFiniteSignalError.  The abscissae are computed on first read.
     """
-    x = as_complex_signal(g)
-    n = x.size
+    x = as_complex_vector(g)
     z = complex(z)
-    params, front, back = _plan(n, z.real.hex(), z.imag.hex())
-    return SpectrumResult(
-        values=front * dft_forward(back * x),
-        abscissae=params.a * asymptotic_grid(n).nodes.astype(np.complex128),
-        params=params,
-    )
+    params, front, back = _plan(x.size, z.real.hex(), z.imag.hex())
+    with np.errstate(invalid="ignore"):  # Inf in g: dft_forward raises NonFiniteSignalError
+        y = back * x
+    dft_forward(y, out=y)
+    # Fused complex multiplies round front * y and y * front differently, so
+    # keep the bits of numpy's own front * dft_forward(back * g): a fresh
+    # product below _ELIDE_BYTES, y *= front from there on.
+    if y.nbytes < _ELIDE_BYTES:
+        return SpectrumResult(values=front * y, params=params)
+    y *= front
+    return SpectrumResult(values=y, params=params)
 
 
 def frft_dense_check(g, z: complex) -> np.ndarray:

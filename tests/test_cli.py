@@ -228,11 +228,11 @@ class TestCorpusAndBench:
             tmp_path, ["bench", "--min-exp", "6", "--max-exp", "7", "--repeats", "1"])
         assert status == 0
         lines = text.splitlines()
-        assert lines[0] == "n,seconds"
+        assert lines[0] == "n,seconds,frft_seconds,roundtrip_seconds"
         ns = [int(ln.split(",")[0]) for ln in lines[1:]]
-        secs = [float(ln.split(",")[1]) for ln in lines[1:]]
+        secs = [float(cell) for ln in lines[1:] for cell in ln.split(",")[1:]]
         assert ns == [64, 128]
-        assert all(s > 0 for s in secs)
+        assert len(secs) == 6 and all(s > 0 for s in secs)
 
     def test_bench_json(self, tmp_path):
         status, text = run_to_file(
@@ -241,4 +241,7 @@ class TestCorpusAndBench:
         assert status == 0
         payload = json.loads(text)
         assert payload["n"] == [64]
-        assert len(payload["seconds"]) == 1
+        for key in ("seconds", "frft_seconds", "roundtrip_seconds"):
+            assert len(payload[key]) == 1 and payload[key][0] > 0
+        assert payload["numpy"] == np.__version__
+        assert payload["nproc"] >= 1

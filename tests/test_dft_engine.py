@@ -93,6 +93,18 @@ class TestForward:
         rhs = 512 * np.sum(np.abs(x) ** 2)
         assert_allclose(lhs, rhs, rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 100, 2**16])
+    def test_out_buffer(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for apply in (dft_forward, dft_inverse):
+            y = v.copy()
+            assert apply(y, out=y) is y
+            assert np.array_equal(y, apply(v))
+            out = np.empty_like(v)
+            apply(v.copy(), out=out)
+            assert np.array_equal(out, apply(v))
+
     def test_does_not_mutate_input(self):
         x = np.arange(8, dtype=np.complex128)
         copy = x.copy()

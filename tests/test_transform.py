@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xft import transform
+from xft.dft_engine import dft_forward, dft_inverse
 from xft.errors import (
     AbsentScalingError,
     CapabilityError,
     InvalidSizeError,
+    NonFiniteSignalError,
     OutOfDomainError,
     SingularParameterError,
 )
@@ -203,12 +205,73 @@ class TestFractional:
         with pytest.raises(CapabilityError):
             frft_dense_check(np.ones(1025), 1j)
 
+    def test_dense_check_refuses_damped_overflow(self):
+        # the dense Mehler kernel forms the same outer exponents as the fast
+        # path's chirps; its cross factor e^{(4i/pi) t_j t_k} is unimodular
+        with pytest.raises(CapabilityError, match="N = 1024.*exponent real part"):
+            frft_dense_check(np.ones(1024), 0.5 * np.exp(0.1j))
+
     def test_damped_chirp_overflow_is_refused(self):
         # arg z = 0.1 lies outside the sector where both chirps decay; at
         # N = 1024 the exponent's real part passes log(float64 max)
         g = np.exp(-asymptotic_grid(1024).nodes ** 2 / 2.0)
         with pytest.raises(CapabilityError, match="N = 1024.*exponent real part"):
             frft_forward(g, 0.5 * np.exp(0.1j))
+
+
+def _plan_of(n, z):
+    z = complex(z)
+    return transform._plan(n, z.real.hex(), z.imag.hex())
+
+
+class TestCore:
+    """The one-pass core against the chirp * DFT * chirp product it evaluates."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1009, 4096, 2**16])
+    @pytest.mark.parametrize("z", [1j, np.exp(0.7j), 0.9 * np.exp(1.2j)])
+    def test_forward_bitwise_equals_product(self, n, z):
+        g = random_signal(n, n)
+        _, front, back = _plan_of(n, z)
+        # computed outside the assert: pytest's rewrite of it keeps the FFT
+        # temporary alive, so numpy would not elide it as in plain code
+        expected = front * dft_forward(back * g)
+        assert np.array_equal(frft_forward(g, z).values, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 1009, 4096, 2**16])
+    def test_inverse_bitwise_equals_product(self, n):
+        G = random_signal(n, n + 1)
+        _, front, back = _plan_of(n, 1j)
+        expected = dft_inverse(G / front) / back
+        assert np.array_equal(xft_inverse(G), expected)
+
+    @pytest.mark.parametrize("n", [64, 2**16])
+    def test_input_is_left_alone(self, n):
+        g = random_signal(n, 5)
+        copy = g.copy()
+        result = frft_forward(g, np.exp(0.7j))
+        assert np.array_equal(g, copy)
+        assert not np.shares_memory(result.values, g)
+        back = xft_inverse(g)
+        assert np.array_equal(g, copy)
+        assert not np.shares_memory(back, g)
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.array([1.0, np.nan, 2.0]), NonFiniteSignalError),
+        (np.array([np.inf, 1.0, 2.0]), NonFiniteSignalError),
+        (np.array([1.0, complex(0.0, -np.inf), 2.0]), NonFiniteSignalError),
+        (np.array([]), InvalidSizeError),
+        (np.ones((2, 2)), InvalidSizeError),
+    ])
+    def test_bad_input_errors(self, bad, error):
+        with pytest.raises(error):
+            frft_forward(bad, np.exp(0.7j))
+        with pytest.raises(error):
+            xft_inverse(bad)
+
+    def test_abscissae_computed_once(self):
+        result = frft_forward(np.ones(16), 0.8 * np.exp(1.0j))
+        assert result.abscissae is result.abscissae
+        assert np.array_equal(result.abscissae, result.params.a * asymptotic_grid(16).nodes)
 
 
 # wall time per example varies with machine load; a slow example is no failure
