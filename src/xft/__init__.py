@@ -33,7 +33,6 @@ from .hermite import (
 )
 from .kernel_dense import (
     SQRT_2PI,
-    KernelMatrix,
     TransformParams,
     apply_kernel,
     asymptotic_kernel,
@@ -65,7 +64,6 @@ __all__ = [
     "Grid",
     "InputParseError",
     "InvalidSizeError",
-    "KernelMatrix",
     "NoClosedFormError",
     "NonFiniteSignalError",
     "OutOfDomainError",

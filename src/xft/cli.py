@@ -136,7 +136,9 @@ def _transform_run(args: argparse.Namespace) -> str:
     if args.command == "fft":
         result = xft_forward(g)
     else:
-        result = frft_forward(g, args.z_mod * np.exp(1j * args.z_arg))
+        with np.errstate(invalid="ignore"):  # non-finite --z-arg: OutOfDomainError, unwarned
+            z = args.z_mod * np.exp(1j * args.z_arg)
+        result = frft_forward(g, z)
     values = result.values * scale
 
     refs = None

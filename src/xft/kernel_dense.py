@@ -3,7 +3,7 @@
 Two constructions of the discretized fractional Fourier kernel: the exact one,
 sqrt(2pi) U^T diag(1, z, ..., z^{n-1}) U on the exact Hermite zeros, and the
 large-n Gaussian (Mehler) limit on the uniform asymptotic grid.  Both are
-symmetric n x n matrices applied by plain matrix-vector products.
+plain symmetric n x n complex arrays applied by matrix-vector products.
 """
 
 import cmath
@@ -58,19 +58,6 @@ class TransformParams:
         return self.a
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Dense symmetric n x n kernel.
-
-    params is None only for exact kernels at z = +-1, where the derived
-    mu/nu/prefactor do not exist but the kernel itself is regular.
-    """
-
-    n: int
-    entries: np.ndarray
-    params: Optional[TransformParams]
-
-
 def _disk_point(z) -> complex:
     """z as a complex number; OutOfDomainError unless finite and |z| <= 1."""
     z = complex(z)
@@ -94,7 +81,7 @@ def make_params(z: complex) -> TransformParams:
     return TransformParams(z=z, mu=mu, nu=nu, a=a, prefactor=prefactor)
 
 
-def exact_kernel(n: int, z: complex) -> KernelMatrix:
+def exact_kernel(n: int, z: complex) -> np.ndarray:
     """Kernel sqrt(2pi) U^T diag(z^m) U on the exact zeros of H_n.
 
     Polynomial in z, so z = +-1 is allowed (identity and parity kernels).
@@ -105,25 +92,20 @@ def exact_kernel(n: int, z: complex) -> KernelMatrix:
     basis = orthonormal_basis(n)
     d = np.complex128(z) ** np.arange(n)
     entries = SQRT_2PI * ((basis.u.T * d) @ basis.u)
-    entries = (entries + entries.T) / 2.0
-    try:
-        params = make_params(z)
-    except SingularParameterError:
-        params = None
-    return KernelMatrix(n=n, entries=entries, params=params)
+    return (entries + entries.T) / 2.0
 
 
 def outer_exponents(params: TransformParams, scale: complex, t: np.ndarray):
     """(-mu scale^2 t^2, -mu t^2): the exponents of the kernel's two outer chirps.
 
-    Raises CapabilityError naming N, z and the exponent when a real part
-    passes log(float64 max), so the caller's exp would overflow.  With
-    scale = a the cross exponent a nu t_j t_k = (4i/pi) t_j t_k is purely
-    imaginary, so these two are the only ones that can.
+    Raises CapabilityError naming N, z and the exponent when the left real
+    part passes log(float64 max), before the caller's exp.  No exponent then
+    can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is imaginary
+    at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.
     """
     left = -params.mu * (scale * scale) * t * t
     right = -params.mu * t * t
-    peak = max(left.real.max(), right.real.max())
+    peak = left.real.max()
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {t.size}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
@@ -133,42 +115,34 @@ def outer_exponents(params: TransformParams, scale: complex, t: np.ndarray):
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:
     """Mehler-limit kernel on the uniform grid with output scale a = scale.
 
-    entries[j,k] = sqrt(2/(1-z^2)) exp(-mu a^2 t_j^2) exp(a nu t_j t_k)
-                   exp(-mu t_k^2) dt.
+    entries[j,k] = sqrt(2/(1-z^2)) exp(-mu a^2 t_j^2 + a nu t_j t_k - mu t_k^2) dt,
+    from one exponent and one exp, so no factor overflows where the kernel
+    does not.
 
     Raises CapabilityError before allocating when n > MEHLER_LIMIT, and
-    before any exp when an outer exponent would overflow (outer_exponents).
+    before any exp when the exponent would overflow (outer_exponents).
     """
     if n > MEHLER_LIMIT:
         raise CapabilityError(f"dense Mehler kernel limited to n <= {MEHLER_LIMIT}")
     grid = asymptotic_grid(n)
     t = grid.nodes
     left, right = outer_exponents(params, scale, t)
-    cross = np.exp((scale * params.nu) * np.outer(t, t))
-    return (params.prefactor * grid.spacing) * (np.outer(np.exp(left), np.exp(right)) * cross)
+    exponent = np.add.outer(left, right) + (scale * params.nu) * np.outer(t, t)
+    return (params.prefactor * grid.spacing) * np.exp(exponent)
 
 
-def asymptotic_kernel(n: int, z: complex) -> KernelMatrix:
-    """Mehler-limit kernel on the uniform grid, with the node spacing as weight.
+def asymptotic_kernel(n: int, z: complex) -> np.ndarray:
+    """Mehler-limit kernel on the uniform grid: mehler_entries at output scale 1.
 
-    entries[j,k] = sqrt(2/(1-z^2)) exp(-mu t_j^2) exp(nu t_j t_k)
-                   exp(-mu t_k^2) dt, the output-scale-1 case of
-    mehler_entries.
-
-    The upper triangle is mirrored onto the lower one, so the symmetry
-    invariant holds bitwise even where fused complex multiplies round
-    a*b and b*a differently.
+    Bitwise symmetric: its two outer exponents are one array, and add.outer
+    and outer are symmetric.
     """
-    params = make_params(z)
-    entries = mehler_entries(n, params, 1.0)
-    lower = np.tril_indices(n, -1)
-    entries[lower] = entries.T[lower]
-    return KernelMatrix(n=n, entries=entries, params=params)
+    return mehler_entries(n, make_params(z), 1.0)
 
 
-def apply_kernel(kernel: KernelMatrix, g) -> np.ndarray:
+def apply_kernel(kernel: np.ndarray, g) -> np.ndarray:
     """Matrix-vector product: the quadrature approximation at the nodes."""
     x = as_complex_signal(g)
-    if x.size != kernel.n:
-        raise InvalidSizeError(f"signal length {x.size} != kernel size {kernel.n}")
-    return kernel.entries @ x
+    if x.size != kernel.shape[0]:
+        raise InvalidSizeError(f"signal length {x.size} != kernel size {kernel.shape[0]}")
+    return kernel @ x

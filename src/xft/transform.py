@@ -24,10 +24,6 @@ _CHIRP_CACHE_SIZE = 32
 # The _plan key of z = i, shared by xft_forward and xft_inverse.
 _Z_I_KEY = ((0.0).hex(), (1.0).hex())
 
-# numpy's NPY_MIN_ELIDE_BYTES: from this size on, numpy evaluates front * tmp,
-# tmp a temporary such as an FFT result, in place as tmp *= front.
-_ELIDE_BYTES = 256 * 1024
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -122,11 +118,6 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     with np.errstate(invalid="ignore"):  # Inf in g: dft_forward raises NonFiniteSignalError
         y = back * x
     dft_forward(y, out=y)
-    # Fused complex multiplies round front * y and y * front differently, so
-    # keep the bits of numpy's own front * dft_forward(back * g): a fresh
-    # product below _ELIDE_BYTES, y *= front from there on.
-    if y.nbytes < _ELIDE_BYTES:
-        return SpectrumResult(values=front * y, params=params)
     y *= front
     return SpectrumResult(values=y, params=params)
 

@@ -74,14 +74,14 @@ def test_c03_exact_kernel_algebra():
     details = []
     ok = True
     for n in (16, 64):
-        dev_id = np.max(np.abs(exact_kernel(n, 1.0).entries - SQRT_2PI * np.eye(n)))
-        ki = exact_kernel(n, 1j).entries
+        dev_id = np.max(np.abs(exact_kernel(n, 1.0) - SQRT_2PI * np.eye(n)))
+        ki = exact_kernel(n, 1j)
         dev_pow = np.max(np.abs(np.linalg.matrix_power(ki, 4) - (2.0 * math.pi) ** 2 * np.eye(n)))
         dev_comp = 0.0
         for z1, z2 in ((1j, 1j), (np.exp(1j / 3.0), np.exp(1j / 4.0)),
                        (0.8 * np.exp(0.5j), 0.9 * np.exp(1j / 3.0))):
-            lhs = exact_kernel(n, z1).entries @ exact_kernel(n, z2).entries
-            rhs = SQRT_2PI * exact_kernel(n, z1 * z2).entries
+            lhs = exact_kernel(n, z1) @ exact_kernel(n, z2)
+            rhs = SQRT_2PI * exact_kernel(n, z1 * z2)
             dev_comp = max(dev_comp, float(np.max(np.abs(lhs - rhs))))
         ok = ok and dev_id < 1e-10 and dev_pow < 1e-8 and dev_comp < 1e-9
         details.append(f"n={n}: id {dev_id:.1e}, pow4 {dev_pow:.1e}, comp {dev_comp:.1e}")

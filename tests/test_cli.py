@@ -63,6 +63,15 @@ class TestParsing:
             main(["fft", "--n", "8", "--signal", "gauss_beta", "--param", "beta:2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "8", "--signal", "gauss_beta", "--param", "beta=abc"],
+        ["--n", "0", "--signal", "rect"],
+    ], ids=["param-not-a-number", "n-zero"])
+    def test_bad_value_is_a_usage_error(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["fft"] + flags)
+        assert exc.value.code == 2
+
     def test_z_mod_range(self):
         with pytest.raises(SystemExit) as exc:
             main(["frft", "--n", "8", "--signal", "rect", "--z-mod", "1.5", "--z-arg", "1.0"])
@@ -186,8 +195,9 @@ class TestTransformRuns:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_non_finite_z_is_out_of_domain(self, capsys):
-        status = main(["frft", "--n", "8", "--signal", "rect", "--z-arg", "nan"])
+    @pytest.mark.parametrize("arg", ["nan", "inf", "-inf"])
+    def test_non_finite_z_is_out_of_domain(self, arg, capsys):
+        status = main(["frft", "--n", "8", "--signal", "rect", f"--z-arg={arg}"])
         assert status == 1
         assert "error: z = (nan+nanj) is not a finite number" in capsys.readouterr().err
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xft.errors import (
@@ -83,18 +85,17 @@ class TestExactKernel:
     def test_identity_at_z_one(self):
         for n in (8, DENSE_ORACLE_LIMIT):
             k = exact_kernel(n, 1.0)
-            assert_allclose(k.entries, SQRT_2PI * np.eye(n), rtol=0, atol=1e-12)
-            assert k.params is None  # no chirp parameters exist at z = 1
+            assert_allclose(k, SQRT_2PI * np.eye(n), rtol=0, atol=1e-12)
 
     def test_rank_one_at_origin(self):
         n = 6
         k = exact_kernel(n, 0.0)
         u0 = orthonormal_basis(n).u[0]
-        assert_allclose(k.entries, SQRT_2PI * np.outer(u0, u0), rtol=0, atol=1e-13)
+        assert_allclose(k, SQRT_2PI * np.outer(u0, u0), rtol=0, atol=1e-13)
 
     def test_symmetric_bitwise(self):
         k = exact_kernel(32, 0.7 * np.exp(0.5j))
-        assert np.array_equal(k.entries, k.entries.T)
+        assert np.array_equal(k, k.T)
 
     def test_parity_at_z_minus_one(self):
         # z = -1 flips the argument of even/odd eigenfunctions; on the
@@ -109,13 +110,13 @@ class TestExactKernel:
     def test_semigroup_product(self):
         z1, z2 = np.exp(1j / 3.0), np.exp(1j / 4.0)
         for n in (24, DENSE_ORACLE_LIMIT):
-            lhs = exact_kernel(n, z1).entries @ exact_kernel(n, z2).entries
-            rhs = SQRT_2PI * exact_kernel(n, z1 * z2).entries
+            lhs = exact_kernel(n, z1) @ exact_kernel(n, z2)
+            rhs = SQRT_2PI * exact_kernel(n, z1 * z2)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_fourth_power_at_boundary(self):
         for n in (16, DENSE_ORACLE_LIMIT):
-            k = exact_kernel(n, 1j).entries
+            k = exact_kernel(n, 1j)
             fourth = np.linalg.matrix_power(k, 4)
             assert np.max(np.abs(fourth - (2.0 * math.pi) ** 2 * np.eye(n))) < 1e-8
 
@@ -153,7 +154,7 @@ class TestAsymptoticKernel:
         k = asymptotic_kernel(n, 1j)
         t = grid.nodes
         expected = np.exp(1j * np.outer(t, t)) * grid.spacing
-        assert_allclose(k.entries, expected, rtol=0, atol=1e-12)
+        assert_allclose(k, expected, rtol=0, atol=1e-12)
 
     def test_origin_entries(self):
         n = 4
@@ -161,17 +162,20 @@ class TestAsymptoticKernel:
         k = asymptotic_kernel(n, 0.0)
         t = grid.nodes
         expected = math.sqrt(2.0) * np.exp(-0.5 * np.add.outer(t * t, t * t)) * grid.spacing
-        assert_allclose(k.entries, expected, rtol=1e-13, atol=0)
+        assert_allclose(k, expected, rtol=1e-13, atol=0)
 
-    def test_symmetric_bitwise(self):
-        for z in (1j, 0.6 * np.exp(0.9j)):
-            k = asymptotic_kernel(48, z)
-            assert np.array_equal(k.entries, k.entries.T)
-
-    def test_carries_params(self):
-        k = asymptotic_kernel(8, 0.5j)
-        assert k.params is not None
-        assert k.params.z == 0.5j
+    @pytest.mark.parametrize("n,z", [
+        (48, 1j),
+        (48, 0.6 * np.exp(0.9j)),
+        # damped z where the cross factor alone would overflow
+        (1024, 0.5),
+        (1024, 0.5 * np.exp(0.1j)),
+        (1024, 0.9 * np.exp(0.3j)),
+    ])
+    def test_symmetric_bitwise(self, n, z):
+        k = asymptotic_kernel(n, z)
+        assert np.isfinite(k).all()
+        assert np.array_equal(k, k.T)
 
     def test_agrees_with_exact_kernel_increasingly_well(self):
         # both quadratures converge to the same operator; compare applied to
@@ -200,6 +204,21 @@ class TestAsymptoticKernel:
         assert peak < 1_000_000
 
 
+@settings(deadline=None)
+@given(st.integers(1, 256), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+def test_mehler_entries_bounded_by_prefactor(n, mod, arg):
+    # Re of the one exponent is <= 0 on the whole disk at output scale 1.  On
+    # |z| = 1 it is 0, so its rounding shows: mu and nu carry a relative error
+    # of about eps / |1 - z^2| and reach 1 / |1 - z^2|, times t^2 <= t_max^2.
+    z = mod * complex(math.cos(arg), math.sin(arg))
+    assume(abs(1.0 - z * z) > 1e-3)
+    k = asymptotic_kernel(n, z)
+    grid = asymptotic_grid(n)
+    slack = 16 * np.finfo(float).eps * grid.nodes[-1] ** 2 / abs(1.0 - z * z) ** 2
+    bound = abs(make_params(z).prefactor) * grid.spacing * math.exp(slack)
+    assert np.abs(k).max() <= (1.0 + 1e-12) * bound
+
+
 class TestApplyKernel:
     def test_size_mismatch(self):
         k = exact_kernel(8, 1j)
@@ -210,4 +229,4 @@ class TestApplyKernel:
         rng = np.random.default_rng(9)
         k = asymptotic_kernel(16, 1j)
         g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert_allclose(apply_kernel(k, g), k.entries @ g, rtol=0, atol=0)
+        assert_allclose(apply_kernel(k, g), k @ g, rtol=0, atol=0)

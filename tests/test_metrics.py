@@ -92,6 +92,11 @@ class TestPeakFrequency:
             bin_width = 4.0 / math.sqrt(2.0 * n)
             assert abs(peak - omega0) <= bin_width
 
+    def test_single_bin_has_no_positive_abscissa(self):
+        # N = 1 puts its only node at t = 0
+        with pytest.raises(InvalidSizeError, match="no positive abscissae"):
+            peak_frequency(xft_forward(np.ones(1)))
+
     def test_interior_parameter_has_no_real_axis(self):
         result = frft_forward(np.ones(16), 0.5 * np.exp(0.8j))
         with pytest.raises(ComplexAbscissaeError):

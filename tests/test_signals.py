@@ -89,9 +89,22 @@ class TestSample:
         with pytest.raises(NonFiniteSignalError):
             sample(SignalSpec("cauchy_exp", {"b": 1.0}), asymptotic_grid(9))
 
+    @pytest.mark.parametrize("spec,n", [
+        (SignalSpec("harmonic", {"m": math.inf}), 16),
+        (SignalSpec("harmonic", {"omega0": math.inf}), 16),
+        (SignalSpec("gauss_beta", {"beta": 40.0}), 600),
+    ], ids=["m-inf", "omega0-inf", "beta-40-overflow"])
+    def test_non_finite_samples_raise_without_warning(self, spec, n):
+        with pytest.raises(NonFiniteSignalError):
+            sample(spec, asymptotic_grid(n))
+
     def test_unknown_name(self):
         with pytest.raises(SignalSpecError):
             sample(SignalSpec("sawtooth"), asymptotic_grid(8))
+
+    def test_non_real_parameter(self):
+        with pytest.raises(SignalSpecError, match="must be a real number"):
+            sample(SignalSpec("gauss_beta", {"beta": 1j}), asymptotic_grid(8))
 
     def test_missing_required_parameter(self):
         with pytest.raises(SignalSpecError):
@@ -205,6 +218,14 @@ class TestReferenceTransform:
     def test_unknown_convention(self):
         with pytest.raises(SignalSpecError):
             reference_transform(SignalSpec("rect"), 1j, 0.0, "angular")
+
+    def test_unknown_name(self):
+        with pytest.raises(SignalSpecError, match="unknown signal"):
+            reference_transform(SignalSpec("sawtooth"), 1j, 0.0)
+
+    def test_constant_one_needs_unit_modulus(self):
+        with pytest.raises(NoClosedFormError, match=r"only on \|z\| = 1"):
+            reference_transform(SignalSpec("constant_one"), 0.5j, 0.0)
 
 
 class TestDiscretizationAgainstReferences:
