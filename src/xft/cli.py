@@ -20,7 +20,7 @@ from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
 from .metrics import leakage_mean, max_norm_error, peak_frequency
 from .signals import CONVENTIONS, CORPUS_NAMES, SignalSpec, reference_transform, sample
-from .transform import frft_forward, xft_forward, xft_inverse
+from .transform import _plan, frft_forward, xft_forward, xft_inverse
 
 _FMT = "{:.17g}"
 
@@ -192,19 +192,21 @@ def _best_seconds(op, repeats: int) -> float:
     return min(times)
 
 
-_BENCH_COLUMNS = ("n", "seconds", "frft_seconds", "roundtrip_seconds")
+_BENCH_COLUMNS = ("n", "seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds")
 
 
 def _bench_run(args: argparse.Namespace) -> str:
-    """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, and the xft round trip."""
+    """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, the xft round trip,
+    and the chirp build of a cache miss at that z (_plan's __wrapped__ skips the cache)."""
     rng = np.random.default_rng(0)
     z = np.exp(0.7j)
+    z_key = (z.real.hex(), z.imag.hex())
     rows = []
     for p in range(args.min_exp, args.max_exp + 1):
         n = 2 ** p
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ops = (lambda: xft_forward(g), lambda: frft_forward(g, z),
-               lambda: xft_inverse(xft_forward(g).values))
+               lambda: xft_inverse(xft_forward(g).values), lambda: _plan.__wrapped__(n, *z_key))
         rows.append((n, *(_best_seconds(op, args.repeats) for op in ops)))
     if args.output_format == "json":
         payload = {key: [r[i] for r in rows] for i, key in enumerate(_BENCH_COLUMNS)}

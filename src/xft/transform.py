@@ -54,14 +54,33 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     phase is reduced mod 2 pi in integers like that of S.  A chirp that
     would overflow raises CapabilityError before any exp.  Errors are not
     cached, so only a valid z enters the cache.
+
+    The nodes are bitwise antisymmetric, so both exponents are even bit for
+    bit (entry j equals entry n-1-j) and exp of the first ceil(n/2) entries
+    gives every value of the full-grid exp, bit for bit.  The exponents stay
+    full length: outer_exponents is shared with the dense kernel and owns the
+    refusal and its message, and freeing its N-sized temporaries here raises
+    glibc's mmap threshold, so later 2^19 calls reuse freed pages rather than
+    fault in fresh ones.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
     front_exp, back_exp = outer_exponents(params, params.require_a(), asymptotic_grid(n).nodes)
     s = _base_chirp(n)
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
-    front = (params.prefactor * c) * (np.exp(front_exp) * s)
-    back = np.exp(back_exp) * s
-    return params, front, back
+    front = _even_chirp(front_exp, s)
+    np.multiply(params.prefactor * c, front, out=front)  # scalar first: front *= K rounds differently
+    return params, front, _even_chirp(back_exp, s)
+
+
+def _even_chirp(exponent: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """e^exponent * s for an exponent even bit for bit, with one exp per mirrored pair."""
+    n = s.size
+    h = (n + 1) // 2
+    e = np.exp(exponent[:h])
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(e, s[:h], out=out[:h])
+    np.multiply(e[:n - h][::-1], s[h:], out=out[h:])
+    return out
 
 
 def xft_forward(g) -> SpectrumResult:

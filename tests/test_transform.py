@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,9 +17,10 @@ from xft.errors import (
     NonFiniteSignalError,
     OutOfDomainError,
     SingularParameterError,
+    XftError,
 )
 from xft.hermite import asymptotic_grid
-from xft.kernel_dense import make_params
+from xft.kernel_dense import make_params, outer_exponents
 from xft.signals import SignalSpec, reference_transform, sample
 from xft.transform import (
     frft_dense_check,
@@ -275,7 +276,50 @@ class TestCore:
         assert np.array_equal(result.abscissae, result.params.a * asymptotic_grid(16).nodes)
 
 
+def _full_grid_plan(n, z):
+    """The two exponents and the plan's (front, back) with an exp of every entry."""
+    params = make_params(z)
+    fe, be = outer_exponents(params, params.require_a(), asymptotic_grid(n).nodes)
+    s = transform._base_chirp(n)
+    c = math.pi * np.exp(1j * math.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
+    return fe, be, (params.prefactor * c) * (np.exp(fe) * s), np.exp(be) * s
+
+
+_PLAN_ZS = [1j, -1j, np.exp(0.7j), np.exp(2.9j), np.exp(0.05j), 0.9 * np.exp(1.2j),
+            0.5 * np.exp(1.5j), 0.99 * np.exp(0.9j), 0.7 * np.exp(2.0j), 1e-3 * np.exp(1.0j)]
+
+
+class TestPlan:
+    """_plan takes one exp per mirrored pair of entries; its diagonals stay
+    bitwise those of an exp over the whole grid."""
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 997, 1000, 1009, 1832, 2999, 4096, 16383,
+                                   16384, 65536, 100003, 2**18])
+    def test_bitwise_equals_full_grid_exp(self, n):
+        for z in _PLAN_ZS:
+            fe, be, front, back = _full_grid_plan(n, z)
+            # the invariant the half-grid exp rests on
+            assert np.array_equal(fe, fe[::-1]) and np.array_equal(be, be[::-1]), z
+            _, got_front, got_back = _plan_of(n, z)
+            assert np.array_equal(got_front, front), z
+            assert np.array_equal(got_back, back), z
+
+
 # wall time per example varies with machine load; a slow example is no failure
+@settings(deadline=None)
+@given(st.integers(1, 4096), st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_max=True)),
+       st.floats(-math.pi, math.pi))
+def test_plan_bitwise_equals_full_grid_exp(n, mod, arg):
+    z = mod * np.exp(1j * arg)
+    try:
+        _, _, front, back = _full_grid_plan(n, z)
+    except XftError:  # z near +-1, or a damped chirp that overflows: refused
+        assume(False)
+    _, got_front, got_back = _plan_of(n, z)
+    assert np.array_equal(got_front, front)
+    assert np.array_equal(got_back, back)
+
+
 @settings(deadline=None)
 @given(st.integers(1, 4096), st.integers(0, 2**32 - 1))
 def test_roundtrip_at_every_size(n, seed):
