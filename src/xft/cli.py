@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xft", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io_flags(p, with_compare=True):
+    def add_io_flags(p):
         p.add_argument("--n", type=_positive_int, required=True, help="number of samples")
         p.add_argument("--signal", choices=CORPUS_NAMES, help="built-in corpus signal")
         p.add_argument("--param", type=_parse_param, action="append", default=[],
@@ -88,9 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write to this path instead of stdout")
         p.add_argument("--convention", choices=CONVENTIONS, default="paper",
                        help="output normalization (default: paper)")
-        if with_compare:
-            p.add_argument("--compare", action="store_true",
-                           help="add closed-form reference and error columns")
+        p.add_argument("--compare", action="store_true",
+                       help="add closed-form reference and error columns")
 
     p_fft = sub.add_parser("fft", help="scaled Fourier transform (z = i)")
     add_io_flags(p_fft)
@@ -149,8 +148,12 @@ def _transform_run(args: argparse.Namespace) -> str:
         for key in ("max_norm", "max_norm_real", "max_norm_imag"):
             summary[key] = getattr(report, key)
     if args.signal == "harmonic":
-        summary["leakage_mean"] = leakage_mean(values)
-        summary["peak_frequency"] = peak_frequency(result)
+        # each measure only where it is defined: leakage needs 3 bins, the peak
+        # a positive abscissa on the real axis, so N >= 2 and |z| = 1
+        if args.n >= 3:
+            summary["leakage_mean"] = leakage_mean(values)
+        if args.n >= 2 and (args.command == "fft" or args.z_mod == 1.0):
+            summary["peak_frequency"] = peak_frequency(result)
 
     om = result.abscissae
     if args.output_format == "json":
@@ -235,21 +238,18 @@ CORPUS_CHECKS = (
 )
 
 
-def corpus_measure(signal: str, params: dict, z: complex, n: int, measure: str) -> float:
-    """Sample a corpus signal on n points, transform at z, measure the output."""
+def corpus_margin(signal, params, z, n, measure, target, tol):
+    """(value, tol, margin) of one CORPUS_CHECKS row: sample the signal on n points,
+    transform at z and measure the output; the row holds when margin >= 0."""
     spec = SignalSpec(signal, params)
     result = frft_forward(sample(spec, asymptotic_grid(n)), z)
     if measure == "leakage_mean":
-        return leakage_mean(result.values)
-    if measure == "peak_frequency":
-        return peak_frequency(result)
-    ref = reference_transform(spec, complex(z), result.abscissae)
-    return getattr(max_norm_error(result.values, ref), measure)
-
-
-def corpus_margin(signal, params, z, n, measure, target, tol):
-    """(value, tol, margin) of one CORPUS_CHECKS row; it holds when margin >= 0."""
-    value = corpus_measure(signal, params, z, n, measure)
+        value = leakage_mean(result.values)
+    elif measure == "peak_frequency":
+        value = peak_frequency(result)
+    else:
+        ref = reference_transform(spec, complex(z), result.abscissae)
+        value = getattr(max_norm_error(result.values, ref), measure)
     tol = 0.05 * abs(target) if tol is None else tol
     return value, tol, tol - abs(value - target)
 

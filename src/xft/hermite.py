@@ -45,7 +45,6 @@ class EigenBasis:
     zeros[k]; the first component of every column is positive.
     """
 
-    n: int
     zeros: np.ndarray
     u: np.ndarray
 
@@ -118,4 +117,4 @@ def orthonormal_basis(n: int) -> EigenBasis:
     u = scaled_hermite_sequence(n - 1, zeros)
     u /= np.abs(u[n - 1])
     u /= np.linalg.norm(u, axis=0)
-    return EigenBasis(n=n, zeros=zeros, u=u)
+    return EigenBasis(zeros=zeros, u=u)

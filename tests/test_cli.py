@@ -8,6 +8,10 @@ import pytest
 
 from xft.cli import build_parser, load_signal, main
 from xft.errors import InputParseError
+from xft.hermite import asymptotic_grid
+from xft.metrics import leakage_mean
+from xft.signals import SignalSpec, sample
+from xft.transform import frft_forward
 
 
 def run_to_file(tmp_path, args, name="out.txt"):
@@ -223,6 +227,33 @@ class TestTransformRuns:
         assert status == 0
         text = capsys.readouterr().out
         assert text.splitlines()[0].startswith("j,omega_re")
+
+    def test_harmonic_damped_z_omits_peak_frequency(self, tmp_path):
+        # below |z| = 1 the abscissae leave the real axis, so there is no peak to report
+        status, text = run_to_file(
+            tmp_path, ["frft", "--n", "64", "--z-arg", "1.5", "--z-mod", "0.9",
+                       "--signal", "harmonic", "--param", "m=3"])
+        assert status == 0
+        _, rows, summary = parse_csv(text)
+        assert len(rows) == 64
+        assert "peak_frequency" not in summary
+        g = sample(SignalSpec("harmonic", {"m": 3.0}), asymptotic_grid(64))
+        values = frft_forward(g, 0.9 * np.exp(1.5j)).values
+        assert float(summary["leakage_mean"]) == leakage_mean(values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_harmonic_below_three_bins_omits_leakage(self, tmp_path, n):
+        status, text = run_to_file(
+            tmp_path, ["fft", "--n", str(n), "--signal", "harmonic", "--param", "m=1"])
+        assert status == 0
+        _, rows, summary = parse_csv(text)
+        assert len(rows) == n
+        assert "leakage_mean" not in summary
+        # one node has no positive abscissa; two have +-1, a = 4/pi times t = +-pi/4
+        if n == 1:
+            assert "peak_frequency" not in summary
+        else:
+            assert abs(float(summary["peak_frequency"]) - 1.0) < 1e-15
 
 
 class TestCorpusAndBench:
