@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -19,10 +18,13 @@ from .errors import InputParseError, XftError
 from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
 from .metrics import leakage_mean, max_norm_error, peak_frequency
-from .signals import CONVENTIONS, CORPUS_NAMES, SignalSpec, reference_transform, sample
+from .signals import CORPUS_NAMES, SignalSpec, reference_transform, sample
 from .transform import _plan, frft_forward, xft_forward, xft_inverse
 
 _FMT = "{:.17g}"
+
+# Output scales: paper is the transforms' own, namias divides by sqrt(2pi).
+CONVENTIONS = ("paper", "namias")
 
 
 def load_signal(path: str) -> np.ndarray:
@@ -80,10 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io_flags(p):
         p.add_argument("--n", type=_positive_int, required=True, help="number of samples")
-        p.add_argument("--signal", choices=CORPUS_NAMES, help="built-in corpus signal")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--signal", choices=CORPUS_NAMES, help="built-in corpus signal")
+        source.add_argument("--input", help="CSV file of samples instead of --signal")
         p.add_argument("--param", type=_parse_param, action="append", default=[],
                        metavar="KEY=VALUE", help="signal parameter, repeatable")
-        p.add_argument("--input", help="CSV file of samples instead of --signal")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
         p.add_argument("--out", help="write to this path instead of stdout")
         p.add_argument("--convention", choices=CONVENTIONS, default="paper",
@@ -93,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fft = sub.add_parser("fft", help="scaled Fourier transform (z = i)")
     add_io_flags(p_fft)
+    p_fft.set_defaults(z_mod=1.0)
 
     p_frft = sub.add_parser("frft", help="fractional transform at z = mod * e^{i arg}")
     add_io_flags(p_frft)
@@ -112,18 +116,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _measure(spec, result, convention: str, compare: bool, unit: bool):
+    """(values, refs, summary) of a run in the output convention: the error norms
+    if compare, and each harmonic measure where it is defined: leakage needs 3
+    bins, the peak a positive abscissa on the real axis (N >= 2, unit z)."""
+    # multiplied even by 1.0: the complex multiply turns some -0.0 parts of the printed values into +0.0
+    values = result.values * (1.0 if convention == "paper" else 1.0 / SQRT_2PI)
+    refs, summary = None, {"convention": convention}
+    if compare:
+        refs = reference_transform(spec, complex(result.params.z), result.abscissae)
+        if convention == "namias":
+            refs = refs / SQRT_2PI
+        summary.update(max_norm_error(values, refs))
+    if spec is not None and spec.name == "harmonic":
+        if values.size >= 3:
+            summary["leakage_mean"] = leakage_mean(values)
+        if values.size >= 2 and unit:
+            summary["peak_frequency"] = peak_frequency(result)
+    return values, refs, summary
 
 
 def _transform_run(args: argparse.Namespace) -> str:
-    convention = args.convention
-    scale = 1.0 if convention == "paper" else 1.0 / SQRT_2PI
-
     spec = SignalSpec(args.signal, dict(args.param)) if args.signal else None
     if spec is not None:
         g = sample(spec, asymptotic_grid(args.n))
@@ -132,33 +145,16 @@ def _transform_run(args: argparse.Namespace) -> str:
         if g.size != args.n:
             raise InputParseError(f"--n {args.n} but {args.input} has {g.size} rows")
 
-    if args.command == "fft":
-        result = xft_forward(g)
-    else:
-        with np.errstate(invalid="ignore"):  # non-finite --z-arg: OutOfDomainError, unwarned
-            z = args.z_mod * np.exp(1j * args.z_arg)
-        result = frft_forward(g, z)
-    values = result.values * scale
-
-    refs = None
-    summary = {"convention": convention}
-    if args.compare:
-        refs = reference_transform(spec, complex(result.params.z), result.abscissae, convention)
-        report = max_norm_error(values, refs)
-        for key in ("max_norm", "max_norm_real", "max_norm_imag"):
-            summary[key] = getattr(report, key)
-    if args.signal == "harmonic":
-        # each measure only where it is defined: leakage needs 3 bins, the peak
-        # a positive abscissa on the real axis, so N >= 2 and |z| = 1
-        if args.n >= 3:
-            summary["leakage_mean"] = leakage_mean(values)
-        if args.n >= 2 and (args.command == "fft" or args.z_mod == 1.0):
-            summary["peak_frequency"] = peak_frequency(result)
+    with np.errstate(invalid="ignore"):  # non-finite --z-arg: OutOfDomainError, unwarned
+        z = 1j if args.command == "fft" else args.z_mod * np.exp(1j * args.z_arg)
+    result = frft_forward(g, z)
+    values, refs, summary = _measure(spec, result, args.convention, args.compare,
+                                     args.z_mod == 1.0)
 
     om = result.abscissae
     if args.output_format == "json":
         payload = {
-            "convention": convention,
+            "convention": args.convention,
             "omega_re": list(om.real),
             "omega_im": list(om.imag),
             "g_re": list(values.real),
@@ -243,13 +239,7 @@ def corpus_margin(signal, params, z, n, measure, target, tol):
     transform at z and measure the output; the row holds when margin >= 0."""
     spec = SignalSpec(signal, params)
     result = frft_forward(sample(spec, asymptotic_grid(n)), z)
-    if measure == "leakage_mean":
-        value = leakage_mean(result.values)
-    elif measure == "peak_frequency":
-        value = peak_frequency(result)
-    else:
-        ref = reference_transform(spec, complex(z), result.abscissae)
-        value = getattr(max_norm_error(result.values, ref), measure)
+    value = _measure(spec, result, "paper", measure.startswith("max_norm"), abs(z) == 1)[2][measure]
     tol = 0.05 * abs(target) if tol is None else tol
     return value, tol, tol - abs(value - target)
 
@@ -298,11 +288,8 @@ def _corpus_run() -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("fft", "frft"):
-        if bool(args.signal) == bool(args.input):
-            parser.error("exactly one of --signal / --input is required")
-        if args.input and args.compare:
-            parser.error("--compare needs a corpus --signal with a closed form")
+    if args.command in ("fft", "frft") and args.input and args.compare:
+        parser.error("--compare needs a corpus --signal with a closed form")
     if args.command == "bench" and args.min_exp > args.max_exp:
         parser.error("--min-exp must not exceed --max-exp")
     try:
@@ -312,7 +299,11 @@ def main(argv=None) -> int:
             text, status = _bench_run(args), 0
         else:
             text, status = _transform_run(args), 0
-        _emit(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return status
     except XftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,5 @@
 """Error and leakage measurements for transform outputs."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dft_engine import as_complex_signal
@@ -11,29 +9,18 @@ from .transform import SpectrumResult
 _REAL_AXIS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Max-norm of the overall, real-part and imaginary-part errors."""
-
-    max_norm: float
-    max_norm_real: float
-    max_norm_imag: float
-    n: int
-
-
-def max_norm_error(computed, reference) -> ErrorReport:
-    """Componentwise max |computed - reference|, overall and per part."""
+def max_norm_error(computed, reference) -> dict:
+    """Componentwise max |computed - reference|, overall and per part, by name."""
     c = as_complex_signal(computed)
     r = as_complex_signal(reference)
     if c.size != r.size:
         raise InvalidSizeError(f"length mismatch: {c.size} vs {r.size}")
     diff = c - r
-    return ErrorReport(
-        max_norm=float(np.abs(diff).max()),
-        max_norm_real=float(np.abs(diff.real).max()),
-        max_norm_imag=float(np.abs(diff.imag).max()),
-        n=c.size,
-    )
+    return {
+        "max_norm": float(np.abs(diff).max()),
+        "max_norm_real": float(np.abs(diff.real).max()),
+        "max_norm_imag": float(np.abs(diff.imag).max()),
+    }
 
 
 def leakage_mean(spectrum) -> float:

@@ -3,8 +3,8 @@
 Six signal families: a quadratic-phase cosine, a singular exponential ratio, a
 pure harmonic on the symmetric index grid, a shifted Gaussian, the constant
 one, and the unit rectangle.  Where a closed form exists, reference_transform
-evaluates it under either of the two normalization conventions of the
-transform; resolve_convention picks the one the dense exact kernel realizes.
+evaluates it in the scale the transforms produce; resolve_convention checks
+which scale the dense exact kernel realizes.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +16,10 @@ from .errors import NoClosedFormError, SignalSpecError
 from .hermite import Grid, orthonormal_basis
 from .kernel_dense import SQRT_2PI, apply_kernel, exact_kernel
 
-CORPUS_NAMES = ("chirp_cos", "cauchy_exp", "harmonic", "gauss_beta", "constant_one", "rect")
-
-CONVENTIONS = ("paper", "namias")
+# family -> the parameter names it takes
+PARAM_NAMES = {"chirp_cos": (), "cauchy_exp": ("b",), "harmonic": ("m", "omega0"),
+               "gauss_beta": ("beta",), "constant_one": (), "rect": ()}
+CORPUS_NAMES = tuple(PARAM_NAMES)
 
 _BOUNDARY_TOL = 1e-9
 
@@ -29,6 +30,16 @@ class SignalSpec:
 
     name: str
     params: dict = field(default_factory=dict)
+
+
+def _check_spec(spec: SignalSpec):
+    accepted = PARAM_NAMES.get(spec.name)
+    if accepted is None:
+        raise SignalSpecError(f"unknown signal {spec.name!r}; choose from {CORPUS_NAMES}")
+    extra = sorted(set(spec.params) - set(accepted))
+    if extra:
+        raise SignalSpecError(f"signal {spec.name!r} does not take {', '.join(extra)}; "
+                              f"accepted: {', '.join(accepted) or 'none'}")
 
 
 def _param(spec: SignalSpec, key: str, default=None) -> float:
@@ -57,8 +68,7 @@ def _harmonic_m(spec: SignalSpec, n: int) -> float:
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def sample(spec: SignalSpec, grid: Grid) -> np.ndarray:
     """Evaluate the signal at the grid nodes (symmetric indices for harmonic)."""
-    if spec.name not in CORPUS_NAMES:
-        raise SignalSpecError(f"unknown signal {spec.name!r}; choose from {CORPUS_NAMES}")
+    _check_spec(spec)
     t = grid.nodes
     if spec.name == "chirp_cos":
         out = np.cos(t * t)
@@ -86,16 +96,12 @@ def _require_z_i(z: complex, name: str):
         raise NoClosedFormError(f"{name} has a closed form only at z = i")
 
 
-def reference_transform(spec: SignalSpec, z: complex, omega, convention: str = "paper"):
-    """Closed-form transform value(s) at omega for the supported (spec, z) pairs.
-
-    The 'paper' convention is the scale the transforms in this package
-    produce; 'namias' divides by sqrt(2pi).  omega may be a scalar or array.
+def reference_transform(spec: SignalSpec, z: complex, omega):
+    """Closed-form transform value(s) at omega for the supported (spec, z) pairs,
+    in the scale the transforms in this package produce.  omega may be a scalar
+    or array.
     """
-    if convention not in CONVENTIONS:
-        raise SignalSpecError(f"unknown convention {convention!r}")
-    if spec.name not in CORPUS_NAMES:
-        raise SignalSpecError(f"unknown signal {spec.name!r}; choose from {CORPUS_NAMES}")
+    _check_spec(spec)
     w = np.asarray(omega, dtype=np.complex128)
     z = complex(z)
 
@@ -127,8 +133,6 @@ def reference_transform(spec: SignalSpec, z: complex, omega, convention: str = "
     else:
         raise NoClosedFormError("harmonic has no pointwise closed form; use the pulse metrics")
 
-    if convention == "namias":
-        val = val / SQRT_2PI
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return complex(val)
     return val

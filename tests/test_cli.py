@@ -10,7 +10,7 @@ from xft.cli import build_parser, load_signal, main
 from xft.errors import InputParseError
 from xft.hermite import asymptotic_grid
 from xft.metrics import leakage_mean
-from xft.signals import SignalSpec, sample
+from xft.signals import CORPUS_NAMES, SignalSpec, sample
 from xft.transform import frft_forward
 
 
@@ -30,6 +30,10 @@ def parse_csv(text):
         k, _, v = token.partition("=")
         summary[k] = v
     return header, rows, summary
+
+
+def ref_column(rows):
+    return np.array([complex(float(r[5]), float(r[6])) for r in rows])
 
 
 class TestParsing:
@@ -221,6 +225,25 @@ class TestTransformRuns:
         scale = math.sqrt(2.0 * math.pi)
         for j in (0, 16, 31):
             assert abs(float(p_rows[j][3]) - scale * float(n_rows[j][3])) < 1e-12
+        # with --compare the references and the error summary take the same scale
+        base = ["fft", "--n", "64", "--signal", "chirp_cos", "--compare"]
+        _, paper_text = run_to_file(tmp_path, base, "pc.csv")
+        _, namias_text = run_to_file(tmp_path, base + ["--convention", "namias"], "nc.csv")
+        _, p_rows, p_summary = parse_csv(paper_text)
+        _, n_rows, n_summary = parse_csv(namias_text)
+        # namias divides the complex paper references by sqrt(2 pi), bit for bit
+        assert np.array_equal(ref_column(n_rows), ref_column(p_rows) / scale)
+        assert n_summary["convention"] == "namias"
+        for key in ("max_norm", "max_norm_real", "max_norm_imag"):
+            assert float(n_summary[key]) * scale == pytest.approx(float(p_summary[key]), rel=1e-14)
+
+    @pytest.mark.parametrize("name,param", [(name, "c=2") for name in CORPUS_NAMES]
+                             + [("rect", "beta=2")])
+    def test_parameter_the_signal_does_not_take(self, name, param, capsys):
+        status = main(["fft", "--n", "64", "--signal", name, "--param", param, "--compare"])
+        assert status == 1
+        key = param.partition("=")[0]
+        assert f"error: signal '{name}' does not take {key}; accepted:" in capsys.readouterr().err
 
     def test_stdout_when_no_out_path(self, capsys):
         status = main(["fft", "--n", "8", "--signal", "constant_one"])

@@ -1,4 +1,4 @@
-"""Closed-form test corpus: sampling, reference transforms, conventions."""
+"""Closed-form test corpus: sampling, reference transforms, the kernel's scale."""
 
 import math
 
@@ -10,6 +10,7 @@ from xft.errors import NoClosedFormError, NonFiniteSignalError, SignalSpecError
 from xft.hermite import Grid, asymptotic_grid
 from xft.signals import (
     CORPUS_NAMES,
+    PARAM_NAMES,
     SignalSpec,
     reference_transform,
     resolve_convention,
@@ -17,6 +18,9 @@ from xft.signals import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# the parameters a family needs before it samples
+REQUIRED = {"harmonic": {"m": 1.0}, "gauss_beta": {"beta": 1.0}}
 
 
 def fractional_quadrature(g_of_t, phi, w, span=24.0, points=400001):
@@ -123,10 +127,27 @@ class TestSample:
 
     def test_corpus_names_all_sample(self):
         grid = asymptotic_grid(16)
-        fill = {"harmonic": {"m": 1.0}, "gauss_beta": {"beta": 1.0}}
         for name in CORPUS_NAMES:
-            g = sample(SignalSpec(name, fill.get(name, {})), grid)
+            g = sample(SignalSpec(name, REQUIRED.get(name, {})), grid)
             assert g.shape == (16,)
+
+
+class TestParameterNames:
+    def test_table_lists_the_corpus(self):
+        assert tuple(PARAM_NAMES) == CORPUS_NAMES
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_parameter_the_family_does_not_take(self, name):
+        # a misspelt key, or one of another family, raises rather than being ignored
+        accepted = PARAM_NAMES[name]
+        foreign = next(k for keys in PARAM_NAMES.values() for k in keys if k not in accepted)
+        message = f"signal '{name}' does not take {{}}; accepted: {', '.join(accepted) or 'none'}$"
+        for key in ("c", foreign):
+            spec = SignalSpec(name, {**REQUIRED.get(name, {}), key: 2.0})
+            with pytest.raises(SignalSpecError, match=message.format(key)):
+                sample(spec, asymptotic_grid(16))
+            with pytest.raises(SignalSpecError, match=message.format(key)):
+                reference_transform(spec, 1j, 0.0)
 
 
 class TestReferenceTransform:
@@ -174,14 +195,14 @@ class TestReferenceTransform:
     def test_gauss_beta_no_drift_is_fixed_point(self):
         spec = SignalSpec("gauss_beta", {"beta": 0.0})
         for phi in (0.3, 1.0, math.pi / 2.0):
-            val = reference_transform(spec, np.exp(1j * phi), 0.0, "namias")
+            val = reference_transform(spec, np.exp(1j * phi), 0.0) / SQRT_2PI
             assert_allclose(val, 1.0, rtol=0, atol=1e-15)
-        val = reference_transform(spec, 1j, 0.0, "paper")
+        val = reference_transform(spec, 1j, 0.0)
         assert_allclose(val, SQRT_2PI, rtol=1e-15)
 
     def test_constant_one_at_origin(self):
         phi = math.pi / 3.0
-        val = reference_transform(SignalSpec("constant_one"), np.exp(1j * phi), 0.0, "namias")
+        val = reference_transform(SignalSpec("constant_one"), np.exp(1j * phi), 0.0) / SQRT_2PI
         expected = np.exp(-0.5j * phi) / math.sqrt(math.cos(phi))
         assert_allclose(val, expected, rtol=1e-14)
 
@@ -190,18 +211,6 @@ class TestReferenceTransform:
         w = np.array([-3.0, -0.4, 0.0, 1.9])
         vals = reference_transform(SignalSpec("constant_one"), np.exp(1j * phi), w)
         assert_allclose(np.abs(vals), SQRT_2PI / math.sqrt(math.cos(phi)), rtol=1e-13)
-
-    def test_convention_scaling(self):
-        cases = [
-            (SignalSpec("chirp_cos"), 1j),
-            (SignalSpec("gauss_beta", {"beta": 1.0}), np.exp(0.8j)),
-            (SignalSpec("constant_one"), np.exp(0.4j)),
-        ]
-        w = np.array([0.0, 1.1])
-        for spec, z in cases:
-            paper = reference_transform(spec, z, w, "paper")
-            namias = reference_transform(spec, z, w, "namias")
-            assert_allclose(paper, SQRT_2PI * namias, rtol=1e-15)
 
     def test_harmonic_has_no_closed_form(self):
         with pytest.raises(NoClosedFormError):
@@ -214,10 +223,6 @@ class TestReferenceTransform:
     def test_constant_one_degenerate_at_quarter_turn(self):
         with pytest.raises(NoClosedFormError):
             reference_transform(SignalSpec("constant_one"), 1j, 0.0)
-
-    def test_unknown_convention(self):
-        with pytest.raises(SignalSpecError):
-            reference_transform(SignalSpec("rect"), 1j, 0.0, "angular")
 
     def test_unknown_name(self):
         with pytest.raises(SignalSpecError, match="unknown signal"):

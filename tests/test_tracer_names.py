@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import xft
+from xft.signals import PARAM_NAMES
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _TRACER = _PERFBENCH / "tracer.py"
@@ -49,3 +50,31 @@ def test_every_benchmark_root_name_exists():
     names = _root_reads()
     assert names, "no xft.<name> reads found in perfbench"
     assert sorted(n for n in names if not hasattr(xft, n)) == []
+
+
+def _text(node):
+    """The string a list element spells, up to the first field of an f-string."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def _signal_params():
+    """(signal, key) of every --param of a --signal run in perfbench's CLI workloads."""
+    tree = ast.parse((_PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    pairs = set()
+    for node in ast.walk(tree):
+        args = [_text(e) for e in node.elts] if isinstance(node, ast.List) else []
+        if "--signal" in args:
+            signal = args[args.index("--signal") + 1]
+            pairs.update((signal, a.partition("=")[0])
+                         for prev, a in zip(args, args[1:]) if prev == "--param")
+    return pairs
+
+
+def test_every_benchmark_signal_parameter_is_accepted():
+    # a parameter its signal does not take fails the CLI run with exit 1, which
+    # would otherwise show only when the benchmark runs
+    pairs = _signal_params()
+    assert {key for _, key in pairs} == {"b", "omega0", "beta"}
+    assert sorted(p for p in pairs if p[1] not in PARAM_NAMES[p[0]]) == []
