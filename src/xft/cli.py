@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 
-from .dft_engine import as_complex_signal
 from .errors import InputParseError, XftError
 from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
@@ -33,7 +32,7 @@ def load_signal(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -141,7 +140,7 @@ def _transform_run(args: argparse.Namespace) -> str:
     if spec is not None:
         g = sample(spec, asymptotic_grid(args.n))
     else:
-        g = as_complex_signal(load_signal(args.input))
+        g = load_signal(args.input)
         if g.size != args.n:
             raise InputParseError(f"--n {args.n} but {args.input} has {g.size} rows")
 
@@ -288,8 +287,8 @@ def _corpus_run() -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("fft", "frft") and args.input and args.compare:
-        parser.error("--compare needs a corpus --signal with a closed form")
+    if args.command in ("fft", "frft") and args.input and (args.param or args.compare):
+        parser.error("--param and --compare need a corpus --signal")
     if args.command == "bench" and args.min_exp > args.max_exp:
         parser.error("--min-exp must not exceed --max-exp")
     try:
@@ -305,7 +304,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return status
-    except XftError as exc:
+    except (XftError, OSError) as exc:  # OSError: --out or stdout cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -245,6 +245,52 @@ class TestTransformRuns:
         key = param.partition("=")[0]
         assert f"error: signal '{name}' does not take {key}; accepted:" in capsys.readouterr().err
 
+    # id -> (argv with {dir} for the test's directory, exit status, stderr fragment)
+    REFUSALS = {
+        "damped_overflow": (["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1",
+                             "--signal", "rect"], 1, "chirp at N = 1024"),
+        "negative_b": (["fft", "--n", "64", "--signal", "cauchy_exp", "--param", "b=-1"], 1,
+                       "cauchy_exp requires b > 0"),
+        "missing_beta": (["fft", "--n", "64", "--signal", "gauss_beta"], 1,
+                         "requires parameter 'beta'"),
+        "m_and_omega0": (["fft", "--n", "64", "--signal", "harmonic", "--param", "m=2",
+                          "--param", "omega0=1"], 1, "exactly one of parameters 'm', 'omega0'"),
+        "nan_input_row": (["fft", "--n", "3", "--input", "{dir}/nan.csv"], 1,
+                          "signal contains NaN or Inf samples"),
+        "input_with_param": (["fft", "--n", "3", "--input", "{dir}/ok.csv", "--param", "b=2"], 2,
+                             "--param and --compare need a corpus --signal"),
+        "non_utf8_input": (["fft", "--n", "1", "--input", "{dir}/latin1.csv"], 1,
+                           "latin1.csv: 'utf-8' codec"),
+        "out_in_missing_dir": (["fft", "--n", "8", "--signal", "rect", "--out",
+                                "{dir}/missing/out.csv"], 1, "No such file or directory"),
+        "out_is_a_dir": (["fft", "--n", "8", "--signal", "rect", "--out", "{dir}"], 1,
+                         "Is a directory"),
+        "reference_overflow": (["fft", "--n", "64", "--signal", "gauss_beta", "--param", "beta=38",
+                                "--compare"], 1,
+                               "closed form of 'gauss_beta' overflows float64 at these abscissae"),
+    }
+
+    @pytest.mark.parametrize("argv,status,fragment", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal_is_one_error_line(self, tmp_path, capsys, argv, status, fragment):
+        (tmp_path / "nan.csv").write_text("1.0\nnan\n2.0\n")
+        (tmp_path / "ok.csv").write_text("1.0\n0.5\n2.0\n")
+        (tmp_path / "latin1.csv").write_bytes("\u00e9\n".encode("latin-1"))
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        if status == 2:  # usage errors leave through argparse
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        errors = [ln for ln in lines if "error:" in ln]
+        assert len(errors) == 1 and errors[0] == lines[-1]
+        assert fragment in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        if status == 1:
+            assert lines == errors and errors[0].startswith("error: ")
+
     def test_stdout_when_no_out_path(self, capsys):
         status = main(["fft", "--n", "8", "--signal", "constant_one"])
         assert status == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xft.errors import NoClosedFormError, NonFiniteSignalError, SignalSpecError
+from xft.errors import CapabilityError, NoClosedFormError, NonFiniteSignalError, SignalSpecError
 from xft.hermite import Grid, asymptotic_grid
 from xft.signals import (
     CORPUS_NAMES,
@@ -231,6 +231,20 @@ class TestReferenceTransform:
     def test_constant_one_needs_unit_modulus(self):
         with pytest.raises(NoClosedFormError, match=r"only on \|z\| = 1"):
             reference_transform(SignalSpec("constant_one"), 0.5j, 0.0)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_cauchy_exp_needs_positive_b(self, b):
+        # the rule sample applies; without it b = -1 gives a finite value and b = 0 warns
+        with pytest.raises(SignalSpecError, match=r"^cauchy_exp requires b > 0$"):
+            reference_transform(SignalSpec("cauchy_exp", {"b": b}), 1j, 0.3)
+
+    def test_overflowing_closed_form_is_a_capability_error(self):
+        # e^{beta^2 / 2} at z = i passes float64 max from beta ~ 37.7; the samples stay finite.
+        # The filterwarnings = error setting turns an overflow warning into a failure here.
+        spec = SignalSpec("gauss_beta", {"beta": 38.0})
+        assert np.all(np.isfinite(sample(spec, asymptotic_grid(64))))
+        with pytest.raises(CapabilityError, match="closed form of 'gauss_beta' overflows float64"):
+            reference_transform(spec, 1j, np.linspace(-3.0, 3.0, 7))
 
 
 class TestDiscretizationAgainstReferences:
