@@ -151,29 +151,19 @@ def _transform_run(args: argparse.Namespace) -> str:
                                      args.z_mod == 1.0)
 
     om = result.abscissae
-    if args.output_format == "json":
-        payload = {
-            "convention": args.convention,
-            "omega_re": list(om.real),
-            "omega_im": list(om.imag),
-            "g_re": list(values.real),
-            "g_im": list(values.imag),
-        }
-        if refs is not None:
-            payload["ref_re"] = list(refs.real)
-            payload["ref_im"] = list(refs.imag)
-        payload["summary"] = summary
-        return json.dumps(payload) + "\n"
-
-    header = ["j", "omega_re", "omega_im", "G_re", "G_im"]
-    columns = [om.real, om.imag, values.real, values.imag]
+    cols = {"omega_re": om.real, "omega_im": om.imag, "G_re": values.real, "G_im": values.imag}
     if refs is not None:
-        header += ["ref_re", "ref_im", "abs_err"]
-        columns += [refs.real, refs.imag, np.abs(values - refs)]
-    row = ",".join(["{}"] + [_FMT] * len(columns))
-    lines = [",".join(header)]
+        cols.update(ref_re=refs.real, ref_im=refs.imag)
+    if args.output_format == "json":
+        payload = {"convention": args.convention,
+                   **{name.lower(): col.tolist() for name, col in cols.items()}, "summary": summary}
+        return json.dumps(payload) + "\n"
+    if refs is not None:  # CSV only
+        cols["abs_err"] = np.abs(values - refs)
+    row = ",".join(["{}"] + [_FMT] * len(cols))
+    lines = [",".join(["j", *cols])]
     # one row at a time: tolist() on the whole table holds every cell as a float object
-    lines += [row.format(j, *r.tolist()) for j, r in enumerate(np.column_stack(columns))]
+    lines += [row.format(j, *r.tolist()) for j, r in enumerate(np.column_stack(tuple(cols.values())))]
     tail = " ".join(f"{k}={v if isinstance(v, str) else _FMT.format(v)}" for k, v in summary.items())
     lines.append(f"# summary {tail}")
     return "\n".join(lines) + "\n"
@@ -250,36 +240,33 @@ def rect_peaks() -> list:
             for phi in (np.pi / 2, 1.0, 0.5, 0.25)]
 
 
-def _corpus_checks():
-    """Yield (name, ok, detail) for every built-in regression."""
+def _corpus_run() -> tuple[str, int]:
+    """The corpus-check report: one (ok, name, detail) row per regression, then the verdict."""
+    rows = []
     for signal, params, z, n, measure, target, tol in CORPUS_CHECKS:
         value, tol, margin = corpus_margin(signal, params, z, n, measure, target, tol)
         given = "".join(f" {k}={v:g}" for k, v in params.items())
-        yield (f"{signal}{given} z={complex(z):.4g} n={n} {measure}", margin >= 0,
-               f"value={value:.6g} target={target:g} tol={tol:.3g} margin={margin:.3g}")
+        rows.append((margin >= 0, f"{signal}{given} z={complex(z):.4g} n={n} {measure}",
+                     f"value={value:.6g} target={target:g} tol={tol:.3g} margin={margin:.3g}"))
 
     peaks = rect_peaks()
-    ok = all(a < b for a, b in zip(peaks, peaks[1:]))
-    yield ("rect peak growth as phi drops", ok, "peaks " + ", ".join(f"{p:.3f}" for p in peaks))
+    rows.append((all(a < b for a, b in zip(peaks, peaks[1:])), "rect peak growth as phi drops",
+                 "peaks " + ", ".join(f"{p:.3f}" for p in peaks)))
 
+    # exact two-pulse spectrum: height (pi/2) sqrt(n/2) in the bins |k - (n-1)/2| = m, 0 elsewhere
     details = []
     for n, ms in ((9, (1.0, 3.0)), (257, (1.0, 3.0)), (8, (1.5, 3.5)), (256, (1.5, 3.5))):
+        height = np.pi / 2 * np.sqrt(n / 2)
         for m in ms:
-            g = sample(SignalSpec("harmonic", {"m": m}), asymptotic_grid(n))
-            values = xft_forward(g).values
-            height = np.pi * n / (2 * np.sqrt(2 * n))
-            mags = np.sort(np.abs(values))
-            pulse_err = np.abs(mags[-2:] / height - 1).max()
-            off = mags[:-2].max() / height if n > 2 else 0.0
-            if pulse_err > 1e-9 or off > 1e-9:
-                details.append(f"n={n} m={m}: pulse_err={pulse_err:.1e} off={off:.1e}")
-    yield ("two-pulse identity", not details, "; ".join(details) or "all exact")
+            exact = np.where(np.abs(np.arange(n) - (n - 1) / 2) == m, height, 0.0)
+            values = xft_forward(sample(SignalSpec("harmonic", {"m": m}), asymptotic_grid(n))).values
+            err = np.abs(values - exact).max() / height
+            if err > 1e-9:
+                details.append(f"n={n} m={m}: err={err:.1e}")
+    rows.append((not details, "two-pulse identity", "; ".join(details) or "all exact"))
 
-
-def _corpus_run() -> tuple[str, int]:
-    checks = list(_corpus_checks())
-    failures = sum(not ok for _, ok, _ in checks)
-    lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
+    failures = sum(not ok for ok, _, _ in rows)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for ok, name, detail in rows]
     lines.append("all checks passed" if not failures else f"{failures} check(s) failed")
     return "\n".join(lines) + "\n", (1 if failures else 0)
 
@@ -304,7 +291,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return status
-    except (XftError, OSError) as exc:  # OSError: --out or stdout cannot be written
+    except (XftError, OSError, MemoryError) as exc:  # unwritable --out or stdout; an impossible size
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

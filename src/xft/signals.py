@@ -51,6 +51,8 @@ def _params(spec: SignalSpec) -> dict:
                 p[key] = float(spec.params[key])
             except (TypeError, ValueError):
                 raise SignalSpecError(f"parameter {key!r} of {spec.name!r} must be a real number")
+            if not np.isfinite(p[key]):
+                raise SignalSpecError(f"parameter {key!r} of {spec.name!r} must be a finite real number")
         elif default is not None:
             p[key] = default
         elif spec.name != "harmonic":

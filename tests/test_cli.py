@@ -2,16 +2,18 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from xft import cli
 from xft.cli import build_parser, load_signal, main
 from xft.errors import InputParseError
 from xft.hermite import asymptotic_grid
 from xft.metrics import leakage_mean
 from xft.signals import CORPUS_NAMES, SignalSpec, sample
-from xft.transform import frft_forward
+from xft.transform import frft_forward, xft_forward
 
 
 def run_to_file(tmp_path, args, name="out.txt"):
@@ -171,21 +173,28 @@ class TestTransformRuns:
             _, _, summary = parse_csv(text)
             assert float(summary["max_norm"]) < 1e-10
 
-    def test_json_matches_csv_exactly(self, tmp_path):
-        args = ["fft", "--n", "64", "--signal", "rect", "--compare"]
+    @pytest.mark.parametrize("args", [
+        ["fft", "--n", "64", "--signal", "rect", "--compare"],
+        ["frft", "--n", "64", "--z-mod", "0.9", "--z-arg", "1.2", "--signal", "gauss_beta",
+         "--param", "beta=1", "--convention", "namias"]], ids=["compare", "damped_namias"])
+    def test_json_matches_csv_exactly(self, tmp_path, args):
         s1, csv_text = run_to_file(tmp_path, args, "a.csv")
         s2, json_text = run_to_file(tmp_path, args + ["--format", "json"], "a.json")
         assert s1 == s2 == 0
-        _, rows, summary = parse_csv(csv_text)
+        header, rows, summary = parse_csv(csv_text)
         payload = json.loads(json_text)
+        # abs_err is the one CSV-only column, present exactly with --compare
+        columns = header[1:-1] if "--compare" in args else header[1:]
+        assert (header[-1] == "abs_err") == ("--compare" in args)
+        assert list(payload) == ["convention", *(name.lower() for name in columns), "summary"]
+        assert [int(r[0]) for r in rows] == list(range(64))
         # 17 significant digits round-trip float64 exactly
-        for j in (0, 17, 63):
-            assert float(rows[j][1]) == payload["omega_re"][j]
-            assert float(rows[j][3]) == payload["g_re"][j]
-            assert float(rows[j][4]) == payload["g_im"][j]
-            assert float(rows[j][5]) == payload["ref_re"][j]
-        assert float(summary["max_norm"]) == payload["summary"]["max_norm"]
-        assert payload["convention"] == "paper"
+        for i, name in enumerate(columns, start=1):
+            assert [float(r[i]) for r in rows] == payload[name.lower()]
+        assert payload["convention"] == payload["summary"]["convention"] == summary["convention"]
+        assert list(summary) == list(payload["summary"])
+        for key, value in payload["summary"].items():
+            assert summary[key] == value if key == "convention" else float(summary[key]) == value
 
     def test_input_file_roundtrip(self, tmp_path):
         n = 16
@@ -268,6 +277,16 @@ class TestTransformRuns:
         "reference_overflow": (["fft", "--n", "64", "--signal", "gauss_beta", "--param", "beta=38",
                                 "--compare"], 1,
                                "closed form of 'gauss_beta' overflows float64 at these abscissae"),
+        "nan_param": (["fft", "--n", "8", "--signal", "cauchy_exp", "--param", "b=nan"], 1,
+                      "parameter 'b' of 'cauchy_exp' must be a finite real number"),
+        "inf_param_compare": (["fft", "--n", "8", "--signal", "cauchy_exp", "--param", "b=inf",
+                               "--compare"], 1,
+                              "parameter 'b' of 'cauchy_exp' must be a finite real number"),
+        # past any address space, so numpy refuses before it allocates, yet below its 2^60
+        # "array is too big" limit
+        "huge_n": (["fft", "--n", str(10 ** 15), "--signal", "rect"], 1, "error: Unable to allocate"),
+        "huge_bench": (["bench", "--min-exp", "45", "--max-exp", "45"], 1,
+                       "error: Unable to allocate"),
     }
 
     @pytest.mark.parametrize("argv,status,fragment", REFUSALS.values(), ids=REFUSALS)
@@ -332,6 +351,31 @@ class TestCorpusAndBench:
         lines = text.splitlines()
         assert lines[-1] == "all checks passed"
         assert all(ln.startswith("ok  ") for ln in lines[:-1])
+
+    def test_negated_two_pulse_spectrum_fails(self, tmp_path, monkeypatch):
+        # equal magnitudes, opposite sign: only a comparison of the values sees it
+        monkeypatch.setattr(cli, "xft_forward",
+                            lambda g: SimpleNamespace(values=-xft_forward(g).values))
+        status, text = run_to_file(tmp_path, ["corpus-check"])
+        assert status == 1
+        lines = text.splitlines()
+        failed = [ln for ln in lines if ln.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL two-pulse identity: n=9 m=1.0: err=2.0e+00")
+        assert lines[-1] == "1 check(s) failed"
+
+    def test_missed_target_prints_negative_margin(self, tmp_path, monkeypatch):
+        checks = list(cli.CORPUS_CHECKS)
+        assert checks[2][:5] == ("cauchy_exp", {"b": 2.0}, 1j, 512, "max_norm")
+        checks[2] = checks[2][:5] + (0.5, None)
+        monkeypatch.setattr(cli, "CORPUS_CHECKS", tuple(checks))
+        status, text = run_to_file(tmp_path, ["corpus-check"])
+        assert status == 1
+        lines = text.splitlines()
+        failed = [ln for ln in lines if ln.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL cauchy_exp b=2 z=0+1j n=512 max_norm:")
+        assert float(failed[0].rpartition("margin=")[2]) < 0
+        assert lines[-1] == "1 check(s) failed"
 
     def test_bench_rows(self, tmp_path):
         status, text = run_to_file(

@@ -94,10 +94,11 @@ class TestSample:
             sample(SignalSpec("cauchy_exp", {"b": 1.0}), asymptotic_grid(9))
 
     @pytest.mark.parametrize("spec,n", [
-        (SignalSpec("harmonic", {"m": math.inf}), 16),
-        (SignalSpec("harmonic", {"omega0": math.inf}), 16),
+        # finite parameters whose frequency 2 pi m / n overflows to inf
+        (SignalSpec("harmonic", {"m": 1e308}), 16),
+        (SignalSpec("harmonic", {"omega0": 1e308}), 16),
         (SignalSpec("gauss_beta", {"beta": 40.0}), 600),
-    ], ids=["m-inf", "omega0-inf", "beta-40-overflow"])
+    ], ids=["m-overflow", "omega0-overflow", "beta-40-overflow"])
     def test_non_finite_samples_raise_without_warning(self, spec, n):
         with pytest.raises(NonFiniteSignalError):
             sample(spec, asymptotic_grid(n))
@@ -148,6 +149,19 @@ class TestParameterNames:
                 sample(spec, asymptotic_grid(16))
             with pytest.raises(SignalSpecError, match=message.format(key)):
                 reference_transform(spec, 1j, 0.0)
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("cauchy_exp", "b", math.nan), ("cauchy_exp", "b", math.inf),
+        ("gauss_beta", "beta", math.inf), ("harmonic", "m", math.inf),
+        ("harmonic", "omega0", math.inf), ("harmonic", "omega0", math.nan)])
+    def test_non_finite_parameter(self, name, key, value):
+        # named as the parameter's fault, not the samples' or the closed form's
+        message = f"^parameter '{key}' of '{name}' must be a finite real number$"
+        spec = SignalSpec(name, {key: value})
+        with pytest.raises(SignalSpecError, match=message):
+            sample(spec, asymptotic_grid(16))
+        with pytest.raises(SignalSpecError, match=message):
+            reference_transform(spec, 1j, 0.0)
 
 
 class TestReferenceTransform:
