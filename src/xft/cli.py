@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .errors import InputParseError, XftError
+from .errors import InputParseError, InvalidSizeError, XftError
 from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
 from .metrics import leakage_mean, max_norm_error, peak_frequency
@@ -279,6 +279,10 @@ def main(argv=None) -> int:
     if args.command == "bench" and args.min_exp > args.max_exp:
         parser.error("--min-exp must not exceed --max-exp")
     try:
+        # numpy raises ValueError, not MemoryError, past this size, so refuse it before any array
+        n = 2 ** args.max_exp if args.command == "bench" else getattr(args, "n", 1)
+        if n * 16 > np.iinfo(np.intp).max:
+            raise InvalidSizeError(f"N = {n} complex samples exceed the largest possible array")
         if args.command == "corpus-check":
             text, status = _corpus_run()
         elif args.command == "bench":

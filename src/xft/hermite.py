@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidSizeError
 
-# Largest n for which exact zeros and the dense eigenbasis are offered.
-# Intermediate Hermite values reach ~exp(t^2/2) <= exp(512) here, safely below
-# overflow.
+# Largest n for which exact zeros and the dense eigenbasis are offered.  The
+# recurrence rescales its intermediates; the returned h, which reach ~exp(t^2/2)
+# <= exp(512) here, and the basis norm stay far below overflow.
 DENSE_ORACLE_LIMIT = 512
 
 
@@ -62,6 +62,25 @@ def asymptotic_grid(n: int) -> Grid:
     return Grid(n=n, nodes=spacing * k_sym, spacing=spacing)
 
 
+def _hermite_rows(k_max: int, w):
+    """(r, s) with h_k(w) = r[k] 2^s[k] at real or complex w: a term past 2^512 and the one
+    before it are divided by 2^512, exactly, so r is bitwise the plain recurrence times 2^-s."""
+    if k_max < 0:
+        raise InvalidSizeError("the largest degree must be >= 0")
+    w = np.asarray(w, dtype=np.result_type(w, np.float64))
+    rows = np.empty((k_max + 1,) + w.shape, dtype=w.dtype)
+    s = np.zeros(rows.shape, dtype=np.int64)
+    rows[0] = np.pi ** -0.25
+    if k_max >= 1:
+        rows[1] = w * np.sqrt(2.0) * rows[0]
+    for m in range(1, k_max):
+        rows[m + 1] = w * np.sqrt(2.0 / (m + 1)) * rows[m] - np.sqrt(m / (m + 1)) * rows[m - 1]
+        big = np.abs(rows[m + 1]) > 2.0 ** 512
+        rows[m:m + 2] *= np.where(big, 2.0 ** -512, 1.0)
+        s[m + 1] = s[m] = s[m] + 512 * big
+    return rows, s
+
+
 def scaled_hermite_sequence(n_max: int, t):
     """Evaluate h_0(t)..h_{n_max}(t), the orthonormally scaled Hermite values.
 
@@ -71,16 +90,18 @@ def scaled_hermite_sequence(n_max: int, t):
     Accepts a scalar or an array t; returns shape (n_max+1,) + shape(t).
     Values grow like exp(t^2/2), so doubles overflow only for |t| beyond ~37.
     """
-    if n_max < 0:
-        raise InvalidSizeError("n_max must be >= 0")
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty((n_max + 1,) + t.shape)
-    out[0] = np.pi ** -0.25
-    if n_max >= 1:
-        out[1] = t * np.sqrt(2.0) * out[0]
-    for m in range(1, n_max):
-        out[m + 1] = t * np.sqrt(2.0 / (m + 1)) * out[m] - np.sqrt(m / (m + 1)) * out[m - 1]
-    return out
+    return np.ldexp(*_hermite_rows(n_max, np.asarray(t, dtype=np.float64)))
+
+
+def hermite_functions(k_max: int, w):
+    """Evaluate psi_k(w) = h_k(w) e^{-w^2/2}, k = 0..k_max, at real or complex w.
+
+    Returns shape (k_max+1,) + shape(w).  The Gaussian meets the exponents of the rows
+    in two equal factors, so nothing under- or overflows where psi_k is a normal double.
+    """
+    rows, s = _hermite_rows(k_max, w)
+    half = np.exp(s * (np.log(2.0) / 2) - np.square(w) / 4)
+    return rows * half * half
 
 
 def exact_hermite_zeros(n: int) -> np.ndarray:

@@ -287,6 +287,10 @@ class TestTransformRuns:
         "huge_n": (["fft", "--n", str(10 ** 15), "--signal", "rect"], 1, "error: Unable to allocate"),
         "huge_bench": (["bench", "--min-exp", "45", "--max-exp", "45"], 1,
                        "error: Unable to allocate"),
+        "too_big_n": (["fft", "--n", str(2 ** 60), "--signal", "rect"], 1,
+                      "exceed the largest possible array"),
+        "too_big_bench": (["bench", "--min-exp", "60", "--max-exp", "60"], 1,
+                          "exceed the largest possible array"),
     }
 
     @pytest.mark.parametrize("argv,status,fragment", REFUSALS.values(), ids=REFUSALS)

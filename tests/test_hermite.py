@@ -12,6 +12,7 @@ from xft.hermite import (
     DENSE_ORACLE_LIMIT,
     asymptotic_grid,
     exact_hermite_zeros,
+    hermite_functions,
     orthonormal_basis,
     scaled_hermite_sequence,
 )
@@ -98,6 +99,22 @@ class TestScaledHermiteSequence:
     def test_rejects_negative_degree(self):
         with pytest.raises(InvalidSizeError):
             scaled_hermite_sequence(-1, 0.0)
+
+
+class TestHermiteFunctions:
+    # the first two lie past |w| = 38.6, where a seed pi^{-1/4} e^{-w^2/2} underflows to 0;
+    # psi_100(40) = 1.0e-252 needs the Gaussian in two factors, since e^{-800} underflows
+    @pytest.mark.parametrize("k,w", [(2000, 60.0), (1200, 45.0), (300, 40.0), (100, 40.0),
+                                     (20, 3 + 0.5j), (40, 20 - 1j)])
+    def test_matches_high_precision_value(self, k, w):
+        # any warning raised here fails the test: pytest turns warnings into errors
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            w_mp = mpmath.mpmathify(w)
+            ref = complex(mpmath.hermite(k, w_mp) * mpmath.exp(-w_mp ** 2 / 2)
+                          / mpmath.sqrt(2 ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi)))
+        got = hermite_functions(k, w)[k]
+        assert ref != 0 and abs(got - ref) <= 1e-12 * abs(ref)
 
 
 class TestExactHermiteZeros:
