@@ -42,6 +42,6 @@ def dft_forward(v, out=None) -> np.ndarray:
     return np.fft.ifft(as_complex_signal(v), norm="forward", out=out)
 
 
-def dft_inverse(v, out=None) -> np.ndarray:
-    """Apply D_F^{-1}: out[j] = (1/N) sum_k e^{-i 2pi jk/N} v[k]; out as in dft_forward."""
-    return np.fft.fft(as_complex_signal(v), norm="forward", out=out)
+def dft_inverse(v) -> np.ndarray:
+    """Apply D_F^{-1}: out[j] = (1/N) sum_k e^{-i 2pi jk/N} v[k]."""
+    return np.fft.fft(as_complex_signal(v), norm="forward")

@@ -12,6 +12,7 @@ uniform grid t_k = pi*(k - (n-1)/2)/sqrt(2n), which is the working grid of the
 fast transform path.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +50,20 @@ class EigenBasis:
     u: np.ndarray
 
 
+def _size(n, least: int, what: str) -> int:
+    """operator.index(n), so numpy integers pass; InvalidSizeError unless an integer >= least."""
+    if not hasattr(type(n), "__index__") or operator.index(n) < least:
+        raise InvalidSizeError(f"{what} must be an integer >= {least}, not {n!r}")
+    return operator.index(n)
+
+
 def asymptotic_grid(n: int) -> Grid:
     """Return the n uniformly spaced asymptotic Hermite zeros.
 
     The symmetric index k - (n-1)/2 is exactly representable (integer or
     half-integer), so negation symmetry of the nodes is exact.
     """
-    if n < 1:
-        raise InvalidSizeError("grid size must be >= 1")
+    n = _size(n, 1, "grid size")
     spacing = np.pi / np.sqrt(2 * n)
     k_sym = np.arange(n) - (n - 1) / 2
     return Grid(n=n, nodes=spacing * k_sym, spacing=spacing)
@@ -65,8 +72,7 @@ def asymptotic_grid(n: int) -> Grid:
 def _hermite_rows(k_max: int, w):
     """(r, s) with h_k(w) = r[k] 2^s[k] at real or complex w: a term past 2^512 and the one
     before it are divided by 2^512, exactly, so r is bitwise the plain recurrence times 2^-s."""
-    if k_max < 0:
-        raise InvalidSizeError("the largest degree must be >= 0")
+    k_max = _size(k_max, 0, "the largest degree")
     w = np.asarray(w, dtype=np.result_type(w, np.float64))
     rows = np.empty((k_max + 1,) + w.shape, dtype=w.dtype)
     s = np.zeros(rows.shape, dtype=np.int64)
@@ -113,8 +119,7 @@ def exact_hermite_zeros(n: int) -> np.ndarray:
     odd n the middle zero is exactly 0.  Only offered for
     n <= DENSE_ORACLE_LIMIT.
     """
-    if n < 1:
-        raise InvalidSizeError("need n >= 1")
+    n = _size(n, 1, "n")
     if n > DENSE_ORACLE_LIMIT:
         raise CapabilityError(
             f"dense Hermite oracle limited to n <= {DENSE_ORACLE_LIMIT}; use the fast transform path"

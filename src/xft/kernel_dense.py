@@ -99,17 +99,18 @@ def outer_exponents(params: TransformParams, scale: complex, t: np.ndarray):
     """(-mu scale^2 t^2, -mu t^2): the exponents of the kernel's two outer chirps.
 
     Raises CapabilityError naming N, z and the exponent when the left real
-    part passes log(float64 max), before the caller's exp.  No exponent then
-    can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is imaginary
-    at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.
+    part passes log(float64 max), before either exponent is built.  No exponent
+    then can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is imaginary
+    at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.  The
+    left real part is (c.real t) t, and t is antisymmetric with its largest |t|
+    at t[0], so where it can pass the bound it peaks at the scalar (c.real t[0]) t[0].
     """
-    left = -params.mu * (scale * scale) * t * t
-    right = -params.mu * t * t
-    peak = left.real.max()
+    c = -params.mu * (scale * scale)
+    peak = (c.real * t[0]) * t[0]
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {t.size}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
-    return left, right
+    return c * t * t, -params.mu * t * t
 
 
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:

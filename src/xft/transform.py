@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_engine import as_complex_signal, as_complex_vector, dft_forward, dft_inverse
+from .dft_engine import as_complex_signal, as_complex_vector, dft_forward
 from .hermite import asymptotic_grid
 from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
 
@@ -20,9 +20,6 @@ from .kernel_dense import TransformParams, make_params, mehler_entries, outer_ex
 # (N, z) pair a caller cycling over a few sizes and z keeps hot, while a
 # stream of fresh z cannot grow memory without limit.
 _CHIRP_CACHE_SIZE = 32
-
-# The _plan key of z = i, shared by xft_forward and xft_inverse.
-_Z_I_KEY = ((0.0).hex(), (1.0).hex())
 
 
 @dataclass(frozen=True)
@@ -93,20 +90,14 @@ def xft_forward(g) -> SpectrumResult:
 
 
 def xft_inverse(G) -> np.ndarray:
-    """Inverse of xft_forward, from the same cached z = i plan.
+    """Inverse of xft_forward: xft_forward of the reversed spectrum, times 2/pi^2.
 
-    xft_forward applies front * D_F * back with the diagonals front = c * S
-    and back = S, so the inverse divides them out around the inverse DFT:
-    g = D_F^{-1}(G / front) / back.  The round trip is algebraic, not
-    iterative.  Like frft_forward it works in one buffer of its own.
+    xft_forward applies M[j,l] = (pi/sqrt(2N)) e^{2 pi i a_j a_l / N}, a_j = j - (N-1)/2.
+    a_j + a_l is an integer in (-N, N), so M^2 = (pi^2/2) P for the index reversal P,
+    and M^{-1} = (2/pi^2) M P: one fast path and one cached plan serve both directions.
     """
-    x = as_complex_vector(G)
-    _, front, back = _plan(x.size, *_Z_I_KEY)
-    with np.errstate(invalid="ignore"):  # Inf in G: dft_inverse raises NonFiniteSignalError
-        y = x / front
-    dft_inverse(y, out=y)
-    y /= back
-    return y
+    y = xft_forward(as_complex_vector(G)[::-1]).values
+    return np.multiply(y, 2 / np.pi ** 2, out=y)
 
 
 def frft_forward(g, z: complex) -> SpectrumResult:

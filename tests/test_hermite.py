@@ -249,3 +249,23 @@ class TestKernelSummationIdentity:
             lo, hi = (7 * n) // 16, (9 * n) // 16 + 1
             errs.append(np.max(np.abs(zeros[lo:hi] - nodes[lo:hi])))
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestIntegerSizes:
+    """Sizes pass through operator.index: numpy integers are taken, floats and strings refused."""
+
+    @pytest.mark.parametrize("size", [3.5, 3.0, np.float64(4.0), "3"])
+    def test_non_integral_size_is_refused(self, size):
+        for call in (asymptotic_grid, exact_hermite_zeros, orthonormal_basis):
+            with pytest.raises(InvalidSizeError, match="must be an integer"):
+                call(size)
+        for call in (scaled_hermite_sequence, hermite_functions):
+            with pytest.raises(InvalidSizeError, match="must be an integer"):
+                call(size, 0.3)
+
+    def test_numpy_integer_size_is_taken(self):
+        grid = asymptotic_grid(np.int64(6))
+        assert type(grid.n) is int and np.array_equal(grid.nodes, asymptotic_grid(6).nodes)
+        assert np.array_equal(exact_hermite_zeros(np.int32(7)), exact_hermite_zeros(7))
+        assert np.array_equal(scaled_hermite_sequence(np.int16(4), 0.3),
+                              scaled_hermite_sequence(4, 0.3))

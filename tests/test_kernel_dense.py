@@ -82,6 +82,10 @@ class TestMakeParams:
 
 
 class TestExactKernel:
+    def test_non_integral_size_is_refused(self):
+        with pytest.raises(InvalidSizeError, match="must be an integer"):
+            exact_kernel(3.0, 1j)
+
     def test_identity_at_z_one(self):
         for n in (8, DENSE_ORACLE_LIMIT):
             k = exact_kernel(n, 1.0)
@@ -147,6 +151,10 @@ class TestExactKernel:
 
 
 class TestAsymptoticKernel:
+    def test_non_integral_size_is_refused(self):
+        with pytest.raises(InvalidSizeError, match="must be an integer"):
+            asymptotic_kernel(4.5, 0.5j)
+
     def test_boundary_quarter_turn_entries(self):
         # mu = 0, nu = i, prefactor = 1: entries reduce to e^{i t_j t_k} dt
         n = 32

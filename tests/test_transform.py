@@ -1,6 +1,7 @@
 """Fast chirp-FFT-chirp transforms against dense matrix references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xft import transform
-from xft.dft_engine import dft_forward, dft_inverse
+from xft.dft_engine import dft_forward
 from xft.errors import (
     AbsentScalingError,
     CapabilityError,
@@ -127,6 +128,13 @@ class TestInverse:
             inverse[:, k] = xft_inverse(eye[:, k])
         assert np.max(np.abs(inverse @ forward - eye)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 1009, 4096, 100003, 2**16])
+    def test_quarter_turn_squared_is_scaled_reversal(self, n):
+        # on the symmetric grid M^2 = (pi^2/2) P exactly, P the index reversal
+        g = random_signal(n, n + 2)
+        twice = xft_forward(xft_forward(g).values).values
+        assert np.max(np.abs(twice - (math.pi ** 2 / 2) * g[::-1])) <= 1e-13 * np.max(np.abs(g))
+
     def test_two_pulses_invert_to_cosine(self):
         n, m = 17, 3
         k_sym = np.arange(n) - (n - 1) / 2.0
@@ -219,6 +227,23 @@ class TestFractional:
         with pytest.raises(CapabilityError, match="N = 1024.*exponent real part"):
             frft_forward(g, 0.5 * np.exp(0.1j))
 
+    def test_damped_chirp_refusal_builds_no_exponent(self):
+        # at 2^20 each N-sized exponent takes 16.8 MB; the refusal may trace
+        # only the grid it reads t[0] from
+        n = 2**20
+        g = np.ones(n, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            asymptotic_grid(n)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(CapabilityError, match="N = 1048576.*exponent real part"):
+                frft_forward(g, 0.5 * np.exp(0.1j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_peak + 2**20
+
 
 def _plan_of(n, z):
     z = complex(z)
@@ -241,9 +266,10 @@ class TestCore:
 
     @pytest.mark.parametrize("n", [1, 2, 1009, 4096, 2**16])
     def test_inverse_bitwise_equals_product(self, n):
+        # xft_inverse is (2/pi^2) M P: the forward pass on the reversed spectrum
         G = random_signal(n, n + 1)
-        _, front, back = _plan_of(n, 1j)
-        expected = dft_inverse(G / front) / back
+        expected = frft_forward(G[::-1], 1j).values
+        expected *= 2 / math.pi ** 2
         assert np.array_equal(xft_inverse(G), expected)
 
     @pytest.mark.parametrize("n", [64, 2**16])
