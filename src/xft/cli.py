@@ -2,7 +2,7 @@
 
 Subcommands: fft (z = i), frft (general z), corpus-check (regression over the
 built-in corpus), bench (timing rows for the fast path).  Output is CSV or
-JSON with at least 15 significant digits per value.
+JSON whose float64 values all round-trip exactly.
 """
 
 import argparse
@@ -20,7 +20,8 @@ from .metrics import leakage_mean, max_norm_error, peak_frequency
 from .signals import CORPUS_NAMES, SignalSpec, reference_transform, sample
 from .transform import _plan, frft_forward, xft_forward, xft_inverse
 
-_FMT = "{:.17g}"
+_FMT = "%.17g"
+_BLOCK = 4096  # rows per text block: a run computes everything, then formats a block at a time
 
 # Output scales: paper is the transforms' own, namias divides by sqrt(2pi).
 CONVENTIONS = ("paper", "namias")
@@ -135,7 +136,7 @@ def _measure(spec, result, convention: str, compare: bool, unit: bool):
     return values, refs, summary
 
 
-def _transform_run(args: argparse.Namespace) -> str:
+def _transform_run(args: argparse.Namespace):  # not a generator: refusals come before --out opens
     spec = SignalSpec(args.signal, dict(args.param)) if args.signal else None
     if spec is not None:
         g = sample(spec, asymptotic_grid(args.n))
@@ -155,18 +156,32 @@ def _transform_run(args: argparse.Namespace) -> str:
     if refs is not None:
         cols.update(ref_re=refs.real, ref_im=refs.imag)
     if args.output_format == "json":
-        payload = {"convention": args.convention,
-                   **{name.lower(): col.tolist() for name, col in cols.items()}, "summary": summary}
-        return json.dumps(payload) + "\n"
+        return _json_blocks(args.convention, cols, summary)
     if refs is not None:  # CSV only
         cols["abs_err"] = np.abs(values - refs)
-    row = ",".join(["{}"] + [_FMT] * len(cols))
-    lines = [",".join(["j", *cols])]
-    # one row at a time: tolist() on the whole table holds every cell as a float object
-    lines += [row.format(j, *r.tolist()) for j, r in enumerate(np.column_stack(tuple(cols.values())))]
-    tail = " ".join(f"{k}={v if isinstance(v, str) else _FMT.format(v)}" for k, v in summary.items())
-    lines.append(f"# summary {tail}")
-    return "\n".join(lines) + "\n"
+    return _csv_blocks({"j": np.arange(om.size), **cols}, summary)
+
+
+def _csv_blocks(cols: dict, summary: dict):
+    """The CSV header, each block of _BLOCK rows as one %-formatted string, the summary line."""
+    yield ",".join(cols) + "\n"
+    row = ",".join(["%d"] + [_FMT] * (len(cols) - 1)) + "\n"
+    for i in range(0, cols["j"].size, _BLOCK):
+        block = np.column_stack([col[i:i + _BLOCK] for col in cols.values()])
+        yield row * len(block) % tuple(block.ravel().tolist())
+    tail = " ".join(f"{k}={v if isinstance(v, str) else _FMT % v}" for k, v in summary.items())
+    yield f"# summary {tail}\n"
+
+
+def _json_blocks(convention: str, cols: dict, summary: dict):
+    """json.dumps of the whole payload, each array dumped _BLOCK values at a time."""
+    yield json.dumps({"convention": convention})[:-1]
+    for name, col in cols.items():
+        yield f", {json.dumps(name.lower())}: ["
+        for i in range(0, col.size, _BLOCK):
+            yield (", " if i else "") + json.dumps(col[i:i + _BLOCK].tolist())[1:-1]
+        yield "]"
+    yield f', "summary": {json.dumps(summary)}}}\n'
 
 
 def _best_seconds(op, repeats: int) -> float:
@@ -183,7 +198,7 @@ def _best_seconds(op, repeats: int) -> float:
 _BENCH_COLUMNS = ("n", "seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds")
 
 
-def _bench_run(args: argparse.Namespace) -> str:
+def _bench_run(args: argparse.Namespace) -> list[str]:
     """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, the xft round trip,
     and the chirp build of a cache miss at that z (_plan's __wrapped__ skips the cache)."""
     rng = np.random.default_rng(0)
@@ -199,10 +214,10 @@ def _bench_run(args: argparse.Namespace) -> str:
     if args.output_format == "json":
         payload = {key: [r[i] for r in rows] for i, key in enumerate(_BENCH_COLUMNS)}
         payload.update(numpy=np.__version__, nproc=os.cpu_count())
-        return json.dumps(payload) + "\n"
+        return [json.dumps(payload) + "\n"]
     lines = [",".join(_BENCH_COLUMNS)]
-    lines += [",".join([str(n)] + [_FMT.format(sec) for sec in secs]) for n, *secs in rows]
-    return "\n".join(lines) + "\n"
+    lines += [",".join([str(n)] + [_FMT % sec for sec in secs]) for n, *secs in rows]
+    return ["\n".join(lines) + "\n"]
 
 
 # The corpus regressions: (signal, params, z, n, measure, target, tol).  A
@@ -240,7 +255,7 @@ def rect_peaks() -> list:
             for phi in (np.pi / 2, 1.0, 0.5, 0.25)]
 
 
-def _corpus_run() -> tuple[str, int]:
+def _corpus_run() -> tuple[list[str], int]:
     """The corpus-check report: one (ok, name, detail) row per regression, then the verdict."""
     rows = []
     for signal, params, z, n, measure, target, tol in CORPUS_CHECKS:
@@ -268,7 +283,7 @@ def _corpus_run() -> tuple[str, int]:
     failures = sum(not ok for ok, _, _ in rows)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for ok, name, detail in rows]
     lines.append("all checks passed" if not failures else f"{failures} check(s) failed")
-    return "\n".join(lines) + "\n", (1 if failures else 0)
+    return ["\n".join(lines) + "\n"], (1 if failures else 0)
 
 
 def main(argv=None) -> int:
@@ -284,16 +299,20 @@ def main(argv=None) -> int:
         if n * 16 > np.iinfo(np.intp).max:
             raise InvalidSizeError(f"N = {n} complex samples exceed the largest possible array")
         if args.command == "corpus-check":
-            text, status = _corpus_run()
+            blocks, status = _corpus_run()
         elif args.command == "bench":
-            text, status = _bench_run(args), 0
+            blocks, status = _bench_run(args), 0
         else:
-            text, status = _transform_run(args), 0
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
+            blocks, status = _transform_run(args), 0
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
+            return status
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left early, as `| head` does: not an error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # silent final flush
         return status
     except (XftError, OSError, MemoryError) as exc:  # unwritable --out or stdout; an impossible size
         print(f"error: {exc}", file=sys.stderr)

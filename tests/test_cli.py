@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +41,33 @@ def parse_csv(text):
 
 def ref_column(rows):
     return np.array([complex(float(r[5]), float(r[6])) for r in rows])
+
+
+def whole_table(argv):
+    """The reference output, built whole: json.dumps of the payload, or every CSV row
+    formatted with "{:.17g}" and all rows joined."""
+    args = build_parser().parse_args(argv)
+    spec = SignalSpec(args.signal, dict(args.param))
+    z = 1j if args.command == "fft" else args.z_mod * np.exp(1j * args.z_arg)
+    result = frft_forward(sample(spec, asymptotic_grid(args.n)), z)
+    values, refs, summary = cli._measure(spec, result, args.convention, args.compare,
+                                         args.z_mod == 1.0)
+    om = result.abscissae
+    cols = {"omega_re": om.real, "omega_im": om.imag, "G_re": values.real, "G_im": values.imag}
+    if refs is not None:
+        cols.update(ref_re=refs.real, ref_im=refs.imag)
+    if args.output_format == "json":
+        payload = {"convention": args.convention,
+                   **{name.lower(): col.tolist() for name, col in cols.items()}, "summary": summary}
+        return json.dumps(payload) + "\n"
+    if refs is not None:
+        cols["abs_err"] = np.abs(values - refs)
+    table = np.column_stack(tuple(cols.values())).tolist()
+    lines = [",".join(["j", *cols])]
+    lines += [",".join([str(j)] + ["{:.17g}".format(x) for x in row]) for j, row in enumerate(table)]
+    tail = " ".join(f"{k}={v if isinstance(v, str) else '{:.17g}'.format(v)}"
+                    for k, v in summary.items())
+    return "\n".join(lines + [f"# summary {tail}"]) + "\n"
 
 
 class TestParsing:
@@ -219,10 +251,17 @@ class TestTransformRuns:
         assert "error: z = (nan+nanj) is not a finite number" in capsys.readouterr().err
 
     def test_damped_overflow_is_an_error(self, tmp_path, capsys):
-        status = main(["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1", "--signal", "rect",
-                       "--out", str(tmp_path / "out.csv")])
-        assert status == 1
-        assert "error: chirp at N = 1024" in capsys.readouterr().err
+        # the run refuses before --out is opened: an existing file keeps its bytes, a new
+        # path is not created, and stdout stays empty
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier output\n")
+        for out in (kept, tmp_path / "out.csv"):
+            status = main(["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1",
+                           "--signal", "rect", "--out", str(out)])
+            assert status == 1
+            captured = capsys.readouterr()
+            assert "error: chirp at N = 1024" in captured.err and captured.out == ""
+        assert kept.read_bytes() == b"earlier output\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_namias_convention_rescales(self, tmp_path):
@@ -346,6 +385,54 @@ class TestTransformRuns:
             assert "peak_frequency" not in summary
         else:
             assert abs(float(summary["peak_frequency"]) - 1.0) < 1e-15
+
+
+B = cli._BLOCK
+
+
+class TestStreamedOutput:
+    VARIANTS = {
+        "plain": ["fft", "--signal", "rect"],
+        "compare": ["fft", "--signal", "chirp_cos", "--compare"],
+        "namias": ["fft", "--signal", "harmonic", "--param", "omega0=5.156",
+                   "--convention", "namias"],
+        "damped": ["frft", "--signal", "gauss_beta", "--param", "beta=1", "--z-mod", "0.95",
+                   "--z-arg", "1.2", "--compare"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("variant", VARIANTS.values(), ids=VARIANTS)
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_bytes_match_whole_table_across_block_edges(self, tmp_path, n, variant, fmt):
+        argv = variant + ["--n", str(n), "--format", fmt]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_bytes() == whole_table(argv).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_traced_memory(self, tmp_path, fmt):
+        # the output text of 65536 rows is about 7 MB; the whole table once peaked near 30 MiB
+        argv = ["fft", "--n", "65536", "--signal", "chirp_cos", "--compare", "--format", fmt,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # warm-up: imports and the chirp cache
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+    def test_reader_closing_stdout_early_is_not_an_error(self):
+        # as `xft fft --n 65536 --signal rect | head -c 100`: far more output than a pipe holds
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-m", "xft.cli", "fft", "--n", "65536",
+                               "--signal", "rect"], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestCorpusAndBench:
