@@ -6,10 +6,11 @@ JSON whose float64 values all round-trip exactly.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
-import time
+import timeit
 
 import numpy as np
 
@@ -93,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output normalization (default: paper)")
         p.add_argument("--compare", action="store_true",
                        help="add closed-form reference and error columns")
+        p.set_defaults(run=_transform_run)
 
     p_fft = sub.add_parser("fft", help="scaled Fourier transform (z = i)")
     add_io_flags(p_fft)
@@ -105,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("corpus-check", help="run the built-in corpus regressions")
     p_check.add_argument("--out", help="write the report to this path")
+    p_check.set_defaults(run=_corpus_run)
 
     p_bench = sub.add_parser("bench", help="time the fast path over N = 2^k")
     p_bench.add_argument("--min-exp", type=_positive_int, default=10)
@@ -112,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=_positive_int, default=3)
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
     p_bench.add_argument("--out", help="write to this path instead of stdout")
+    p_bench.set_defaults(run=_bench_run)
 
     return parser
 
@@ -156,17 +160,17 @@ def _transform_run(args: argparse.Namespace):  # not a generator: refusals come 
     if refs is not None:
         cols.update(ref_re=refs.real, ref_im=refs.imag)
     if args.output_format == "json":
-        return _json_blocks(args.convention, cols, summary)
+        return _json_blocks(args.convention, cols, summary), 0
     if refs is not None:  # CSV only
         cols["abs_err"] = np.abs(values - refs)
-    return _csv_blocks({"j": np.arange(om.size), **cols}, summary)
+    return _csv_blocks({"j": np.arange(om.size), **cols}, summary), 0
 
 
 def _csv_blocks(cols: dict, summary: dict):
     """The CSV header, each block of _BLOCK rows as one %-formatted string, the summary line."""
     yield ",".join(cols) + "\n"
     row = ",".join(["%d"] + [_FMT] * (len(cols) - 1)) + "\n"
-    for i in range(0, cols["j"].size, _BLOCK):
+    for i in range(0, len(next(iter(cols.values()))), _BLOCK):
         block = np.column_stack([col[i:i + _BLOCK] for col in cols.values()])
         yield row * len(block) % tuple(block.ravel().tolist())
     tail = " ".join(f"{k}={v if isinstance(v, str) else _FMT % v}" for k, v in summary.items())
@@ -184,40 +188,27 @@ def _json_blocks(convention: str, cols: dict, summary: dict):
     yield f', "summary": {json.dumps(summary)}}}\n'
 
 
-def _best_seconds(op, repeats: int) -> float:
-    """Best wall time of op() over repeats calls, after one call that warms caches."""
-    op()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        op()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
-_BENCH_COLUMNS = ("n", "seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds")
-
-
-def _bench_run(args: argparse.Namespace) -> list[str]:
+def _bench_run(args: argparse.Namespace):
     """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, the xft round trip,
-    and the chirp build of a cache miss at that z (_plan's __wrapped__ skips the cache)."""
+    and the chirp build of a cache miss at that z (_plan's __wrapped__ skips the cache).
+    Each op runs once to warm caches; its time is the best of --repeats, GC on."""
     rng = np.random.default_rng(0)
     z = np.exp(0.7j)
     z_key = (z.real.hex(), z.imag.hex())
-    rows = []
+    cols = {key: [] for key in ("n", "seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds")}
     for p in range(args.min_exp, args.max_exp + 1):
         n = 2 ** p
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ops = (lambda: xft_forward(g), lambda: frft_forward(g, z),
                lambda: xft_inverse(xft_forward(g).values), lambda: _plan.__wrapped__(n, *z_key))
-        rows.append((n, *(_best_seconds(op, args.repeats) for op in ops)))
+        cols["n"].append(n)
+        for key, op in zip(list(cols)[1:], ops):
+            op()
+            cols[key].append(min(timeit.repeat(op, setup=gc.enable, number=1, repeat=args.repeats)))
+    env = {"numpy": np.__version__, "nproc": os.cpu_count()}
     if args.output_format == "json":
-        payload = {key: [r[i] for r in rows] for i, key in enumerate(_BENCH_COLUMNS)}
-        payload.update(numpy=np.__version__, nproc=os.cpu_count())
-        return [json.dumps(payload) + "\n"]
-    lines = [",".join(_BENCH_COLUMNS)]
-    lines += [",".join([str(n)] + [_FMT % sec for sec in secs]) for n, *secs in rows]
-    return ["\n".join(lines) + "\n"]
+        return [json.dumps(cols | env) + "\n"], 0
+    return _csv_blocks(cols, env), 0
 
 
 # The corpus regressions: (signal, params, z, n, measure, target, tol).  A
@@ -255,7 +246,7 @@ def rect_peaks() -> list:
             for phi in (np.pi / 2, 1.0, 0.5, 0.25)]
 
 
-def _corpus_run() -> tuple[list[str], int]:
+def _corpus_run(args: argparse.Namespace) -> tuple[list[str], int]:
     """The corpus-check report: one (ok, name, detail) row per regression, then the verdict."""
     rows = []
     for signal, params, z, n, measure, target, tol in CORPUS_CHECKS:
@@ -294,16 +285,13 @@ def main(argv=None) -> int:
     if args.command == "bench" and args.min_exp > args.max_exp:
         parser.error("--min-exp must not exceed --max-exp")
     try:
+        if args.out is None and sys.stdout is None:  # started with fd 1 closed, as by `>&-`
+            raise OSError("stdout is closed")
         # numpy raises ValueError, not MemoryError, past this size, so refuse it before any array
         n = 2 ** args.max_exp if args.command == "bench" else getattr(args, "n", 1)
         if n * 16 > np.iinfo(np.intp).max:
             raise InvalidSizeError(f"N = {n} complex samples exceed the largest possible array")
-        if args.command == "corpus-check":
-            blocks, status = _corpus_run()
-        elif args.command == "bench":
-            blocks, status = _bench_run(args), 0
-        else:
-            blocks, status = _transform_run(args), 0
+        blocks, status = args.run(args)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(blocks)

@@ -434,6 +434,14 @@ class TestStreamedOutput:
             assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    def test_closed_stdout_is_one_error_line(self):
+        # `>&-` starts the interpreter with fd 1 closed, so sys.stdout is None
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(["sh", "-c", '"$0" -m xft.cli fft --n 4 --signal rect >&-',
+                               sys.executable], env=env, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: stdout is closed\n"
+
 
 class TestCorpusAndBench:
     def test_corpus_check_passes(self, tmp_path):
@@ -474,8 +482,9 @@ class TestCorpusAndBench:
         assert status == 0
         lines = text.splitlines()
         assert lines[0] == "n,seconds,frft_seconds,roundtrip_seconds,plan_seconds"
-        ns = [int(ln.split(",")[0]) for ln in lines[1:]]
-        secs = [float(cell) for ln in lines[1:] for cell in ln.split(",")[1:]]
+        assert lines[-1].startswith("# summary ")
+        ns = [int(ln.split(",")[0]) for ln in lines[1:-1]]
+        secs = [float(cell) for ln in lines[1:-1] for cell in ln.split(",")[1:]]
         assert ns == [64, 128]
         assert len(secs) == 8 and all(s > 0 for s in secs)
 
@@ -490,3 +499,29 @@ class TestCorpusAndBench:
             assert len(payload[key]) == 1 and payload[key][0] > 0
         assert payload["numpy"] == np.__version__
         assert payload["nproc"] >= 1
+
+    def test_bench_output_bytes(self, tmp_path, monkeypatch):
+        # fixed timings pin the table bytes; each time is the best of --repeats
+        # single calls, timed with the garbage collector on
+        times = iter([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8] * 2)
+
+        def fake_repeat(op, setup, number, repeat):
+            assert setup is cli.gc.enable and number == 1 and repeat == 3
+            best = next(times)
+            return [best + 1.0, best, best + 2.0]
+
+        monkeypatch.setattr(cli.timeit, "repeat", fake_repeat)
+        argv = ["bench", "--min-exp", "6", "--max-exp", "7"]
+        status, text = run_to_file(tmp_path, argv, "bench.csv")
+        assert status == 0
+        assert text == (
+            "n,seconds,frft_seconds,roundtrip_seconds,plan_seconds\n"
+            "64,0.10000000000000001,0.20000000000000001,0.29999999999999999,0.40000000000000002\n"
+            "128,0.5,0.59999999999999998,0.69999999999999996,0.80000000000000004\n"
+            f"# summary numpy={np.__version__} nproc={os.cpu_count()}\n")
+        status, text = run_to_file(tmp_path, argv + ["--format", "json"], "bench.json")
+        assert status == 0
+        assert text == (
+            '{"n": [64, 128], "seconds": [0.1, 0.5], "frft_seconds": [0.2, 0.6], '
+            '"roundtrip_seconds": [0.3, 0.7], "plan_seconds": [0.4, 0.8], '
+            f'"numpy": "{np.__version__}", "nproc": {os.cpu_count()}}}\n')
