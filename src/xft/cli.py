@@ -6,9 +6,11 @@ JSON whose float64 values all round-trip exactly.
 """
 
 import argparse
+import functools
 import gc
 import json
 import os
+import signal
 import sys
 import timeit
 
@@ -170,22 +172,60 @@ def _csv_blocks(cols: dict, summary: dict):
     """The CSV header, each block of _BLOCK rows as one %-formatted string, the summary line."""
     yield ",".join(cols) + "\n"
     row = ",".join(["%d"] + [_FMT] * (len(cols) - 1)) + "\n"
-    for i in range(0, len(next(iter(cols.values()))), _BLOCK):
-        block = np.column_stack([col[i:i + _BLOCK] for col in cols.values()])
-        yield row * len(block) % tuple(block.ravel().tolist())
+
+    def block(i):
+        rows = np.column_stack([col[i:i + _BLOCK] for col in cols.values()])
+        return row * len(rows) % tuple(rows.ravel().tolist())
+
+    n = len(next(iter(cols.values())))
+    yield from _formatted([functools.partial(block, i) for i in range(0, n, _BLOCK)], n > _BLOCK)
     tail = " ".join(f"{k}={v if isinstance(v, str) else _FMT % v}" for k, v in summary.items())
     yield f"# summary {tail}\n"
 
 
 def _json_blocks(convention: str, cols: dict, summary: dict):
     """json.dumps of the whole payload, each array dumped _BLOCK values at a time."""
+    def piece(name, col, i):
+        head = f", {json.dumps(name.lower())}: [" if i == 0 else ", "
+        return head + json.dumps(col[i:i + _BLOCK].tolist())[1:-1] + ("]" if i + _BLOCK >= col.size else "")
+
     yield json.dumps({"convention": convention})[:-1]
-    for name, col in cols.items():
-        yield f", {json.dumps(name.lower())}: ["
-        for i in range(0, col.size, _BLOCK):
-            yield (", " if i else "") + json.dumps(col[i:i + _BLOCK].tolist())[1:-1]
-        yield "]"
+    yield from _formatted([functools.partial(piece, name, col, i) for name, col in cols.items()
+                           for i in range(0, col.size, _BLOCK)], cols["omega_re"].size > _BLOCK)
     yield f', "summary": {json.dumps(summary)}}}\n'
+
+
+def _formatted(parts: list, fork: bool):
+    """part() for each part, in order.  When fork, a forked child formats the back half, from
+    the last part down, into an in-memory spool while this process formats from the first part
+    up and takes each part the child has finished: it never waits for a child that may lack a core."""
+    if not (fork and hasattr(os, "memfd_create")):
+        yield from (part() for part in parts)
+        return
+    with open(fd := os.memfd_create("xft-spool"), "wb") as spool:
+        if (pid := os.fork()) == 0:
+            try:  # ends in os._exit, so the --out and stdout buffers it inherited are never flushed
+                gc.disable()  # nor may a collection run a finalizer of the parent's garbage here
+                for k in range(len(parts) - 1, (len(parts) - 1) // 2, -1):
+                    data = parts[k]().encode()
+                    spool.write(len(data).to_bytes(8, "little") + data)
+                    spool.flush()
+            finally:
+                os._exit(0)
+        try:
+            spooled, end = [], 0  # (size, offset) of each whole record, the last part's first
+            for k, part in enumerate(parts):
+                while len(head := os.pread(fd, 8, end)) == 8:
+                    size = int.from_bytes(head, "little")
+                    if os.fstat(fd).st_size < end + 8 + size:
+                        break
+                    spooled.append((size, end + 8))
+                    end += 8 + size
+                rec = len(parts) - 1 - k  # the child spools part k as its record number rec
+                yield os.pread(fd, *spooled[rec]).decode() if rec < len(spooled) else part()
+        finally:
+            os.kill(pid, signal.SIGKILL)  # it may still be formatting parts taken here
+            os.waitpid(pid, 0)
 
 
 def _bench_run(args: argparse.Namespace):

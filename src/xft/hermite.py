@@ -13,7 +13,7 @@ fast transform path.
 """
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .errors import CapabilityError, InvalidSizeError
 DENSE_ORACLE_LIMIT = 512
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """Uniform asymptotic Hermite-zero grid.
 
     nodes[k] = spacing * (k - (n-1)/2) with spacing = pi/sqrt(2n); the nodes
@@ -38,8 +37,7 @@ class Grid:
     spacing: float
 
 
-@dataclass(frozen=True)
-class EigenBasis:
+class EigenBasis(NamedTuple):
     """Exact zeros of H_n and the orthonormal eigenvector matrix.
 
     Column k of u is the unit eigenvector of the Jacobi matrix for eigenvalue

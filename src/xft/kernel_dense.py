@@ -7,8 +7,7 @@ plain symmetric n x n complex arrays applied by matrix-vector products.
 """
 
 import cmath
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ _ZERO_TOL = 1e-6
 _EXP_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78: exp above it overflows
 
 
-@dataclass(frozen=True)
-class TransformParams:
+class TransformParams(NamedTuple):
     """Validated transform parameter z with its derived quantities.
 
     mu = (1+z^2)/(2(1-z^2)), nu = 2z/(1-z^2), a = 2i(1-z^2)/(pi z) (None when

@@ -7,7 +7,8 @@ evaluates it in the scale the transforms produce; resolve_convention checks
 which scale the dense exact kernel realizes.
 """
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,12 +26,11 @@ CORPUS_NAMES = tuple(PARAM_NAMES)
 _BOUNDARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SignalSpec:
+class SignalSpec(NamedTuple):
     """A corpus entry name plus its named real parameters."""
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
 
 
 def _params(spec: SignalSpec) -> dict:

@@ -8,7 +8,6 @@ closed unit disk away from 0 and +-1.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +21,11 @@ from .kernel_dense import TransformParams, make_params, mehler_entries, outer_ex
 _CHIRP_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
 class SpectrumResult:
     """Transform samples plus the abscissae a*t_j they approximate."""
 
-    values: np.ndarray
-    params: TransformParams
+    def __init__(self, values: np.ndarray, params: TransformParams):
+        self.values, self.params = values, params
 
     @functools.cached_property
     def abscissae(self) -> np.ndarray:

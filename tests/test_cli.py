@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -402,7 +403,7 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("variant", VARIANTS.values(), ids=VARIANTS)
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, 3 * B + 1, 4 * B])
     def test_bytes_match_whole_table_across_block_edges(self, tmp_path, n, variant, fmt):
         argv = variant + ["--n", str(n), "--format", fmt]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
@@ -430,9 +431,72 @@ class TestStreamedOutput:
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert len(proc.stdout.read(100)) == 100
             proc.stdout.close()
-            err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
+            # a process the run left behind would still hold the stderr pipe open
+            assert select.select([proc.stderr], [], [], 0)[0]
+            err = proc.stderr.read()
         assert err == b""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_block_never_forks(self, tmp_path, monkeypatch, fmt):
+        def fork():
+            raise AssertionError("a one-block run forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        argv = self.VARIANTS["compare"] + ["--n", str(B), "--format", fmt]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_bytes() == whole_table(argv).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes_in_one_process(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.delattr(os, "memfd_create")  # as on a platform without it: no spool, no fork
+        argv = self.VARIANTS["damped"] + ["--n", str(2 * B + 3), "--format", fmt]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_bytes() == whole_table(argv).encode()
+
+    def test_no_child_process_remains(self, tmp_path, monkeypatch, capsys):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def assert_no_child():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        assert main(["fft", "--n", str(2 * B), "--signal", "rect", "--out", str(tmp_path / "out")]) == 0
+        assert_no_child()
+        # the damped overflow refuses before any output, so before any fork
+        assert main(["frft", "--n", str(2 * B), "--z-mod", "0.5", "--z-arg", "0.1",
+                     "--signal", "rect", "--out", str(tmp_path / "refused")]) == 1
+        assert_no_child()
+        # an --out FIFO whose reader, another process, leaves after 100 bytes: the write fails
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with subprocess.Popen(["head", "-c", "100", str(fifo)], stdout=subprocess.DEVNULL) as reader:
+            status = main(["fft", "--n", str(4 * B), "--signal", "rect", "--out", str(fifo)])
+            assert reader.wait(timeout=60) == 0
+        assert status == 1 and "Broken pipe" in capsys.readouterr().err
+        assert_no_child()
+        assert len(forks) == 2
+
+    def test_reader_of_out_in_the_same_process_may_leave(self, tmp_path):
+        # the forked child inherits the read end that the thread here leaves, but holds it only
+        # while it spools its half: the write then fails, and the run ends
+        code = (
+            "import sys, threading\n"
+            "from xft.cli import main\n"
+            "def read_once():\n"
+            "    with open(sys.argv[1], 'rb') as fh:\n"
+            "        fh.read(100)\n"
+            "threading.Thread(target=read_once).start()\n"
+            "sys.exit(main(['fft', '--n', '16384', '--signal', 'rect', '--out', sys.argv[1]]))\n"
+        )
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, str(fifo)], env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 1 and b"Broken pipe" in proc.stderr
 
     def test_closed_stdout_is_one_error_line(self):
         # `>&-` starts the interpreter with fd 1 closed, so sys.stdout is None
