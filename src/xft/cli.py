@@ -13,6 +13,7 @@ import os
 import signal
 import sys
 import timeit
+import warnings
 
 import numpy as np
 
@@ -34,22 +35,20 @@ def load_signal(path: str) -> np.ndarray:
     """Read a 1-column (real) or 2-column (re, im) CSV of samples."""
     rows = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:  # without the BOM that spreadsheets may write first
+            lines = fh.read().removeprefix("\ufeff").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) not in (1, 2):
             raise InputParseError(f"line {lineno}: expected 1 or 2 columns, got {len(cells)}")
-        try:
-            re = float(cells[0])
-            im = float(cells[1]) if len(cells) == 2 else 0.0
+        try:  # float() strips the whitespace around each cell
+            rows.append(complex(*map(float, cells)))
         except ValueError:
             raise InputParseError(f"line {lineno}: malformed number")
-        rows.append(complex(re, im))
     if not rows:
         raise InputParseError(f"{path} contains no samples")
     return np.asarray(rows, dtype=np.complex128)
@@ -162,7 +161,7 @@ def _transform_run(args: argparse.Namespace):  # not a generator: refusals come 
     if refs is not None:
         cols.update(ref_re=refs.real, ref_im=refs.imag)
     if args.output_format == "json":
-        return _json_blocks(args.convention, cols, summary), 0
+        return _json_blocks(cols, summary), 0
     if refs is not None:  # CSV only
         cols["abs_err"] = np.abs(values - refs)
     return _csv_blocks({"j": np.arange(om.size), **cols}, summary), 0
@@ -183,27 +182,32 @@ def _csv_blocks(cols: dict, summary: dict):
     yield f"# summary {tail}\n"
 
 
-def _json_blocks(convention: str, cols: dict, summary: dict):
+def _json_blocks(cols: dict, summary: dict):
     """json.dumps of the whole payload, each array dumped _BLOCK values at a time."""
     def piece(name, col, i):
         head = f", {json.dumps(name.lower())}: [" if i == 0 else ", "
         return head + json.dumps(col[i:i + _BLOCK].tolist())[1:-1] + ("]" if i + _BLOCK >= col.size else "")
 
-    yield json.dumps({"convention": convention})[:-1]
+    yield json.dumps({"convention": summary["convention"]})[:-1]
     yield from _formatted([functools.partial(piece, name, col, i) for name, col in cols.items()
                            for i in range(0, col.size, _BLOCK)], cols["omega_re"].size > _BLOCK)
     yield f', "summary": {json.dumps(summary)}}}\n'
 
 
 def _formatted(parts: list, fork: bool):
-    """part() for each part, in order.  When fork, a forked child formats the back half, from
-    the last part down, into an in-memory spool while this process formats from the first part
-    up and takes each part the child has finished: it never waits for a child that may lack a core."""
+    """part() for each part, in order.  When fork, a forked child spools the back half, the last part
+    first, while this process formats from the first part up to the first one the child has finished."""
     if not (fork and hasattr(os, "memfd_create")):
         yield from (part() for part in parts)
         return
     with open(fd := os.memfd_create("xft-spool"), "wb") as spool:
-        if (pid := os.fork()) == 0:
+        # from Python 3.12 fork warns in a process with threads, and numpy's BLAS starts one: the
+        # child calls no BLAS, only formats text, and ends in os._exit
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
             try:  # ends in os._exit, so the --out and stdout buffers it inherited are never flushed
                 gc.disable()  # nor may a collection run a finalizer of the parent's garbage here
                 for k in range(len(parts) - 1, (len(parts) - 1) // 2, -1):
@@ -215,16 +219,18 @@ def _formatted(parts: list, fork: bool):
         try:
             spooled, end = [], 0  # (size, offset) of each whole record, the last part's first
             for k, part in enumerate(parts):
-                while len(head := os.pread(fd, 8, end)) == 8:
-                    size = int.from_bytes(head, "little")
-                    if os.fstat(fd).st_size < end + 8 + size:
+                while len(head := os.pread(fd, 8, end)) == 8:  # never waits on the child
+                    if os.fstat(fd).st_size < end + 8 + (size := int.from_bytes(head, "little")):
                         break
                     spooled.append((size, end + 8))
                     end += 8 + size
-                rec = len(parts) - 1 - k  # the child spools part k as its record number rec
-                yield os.pread(fd, *spooled[rec]).decode() if rec < len(spooled) else part()
+                if (rec := len(parts) - 1 - k) < len(spooled):  # the child spools part k as record rec
+                    os.kill(pid, signal.SIGKILL)  # they met: all it has left was yielded here
+                    break
+                yield part()
+            yield from (os.pread(fd, *record).decode() for record in spooled[rec::-1])
         finally:
-            os.kill(pid, signal.SIGKILL)  # it may still be formatting parts taken here
+            os.kill(pid, signal.SIGKILL)  # if they never met, as after an early `| head`, it may still run
             os.waitpid(pid, 0)
 
 

@@ -1,12 +1,15 @@
 """Command-line behavior: parsing, output formats, exit statuses."""
 
+import functools
 import json
 import math
 import os
 import select
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -158,6 +161,13 @@ class TestLoadSignal:
         path.write_text("1.0\n2.0\nx\n")
         with pytest.raises(InputParseError, match="line 3"):
             load_signal(str(path))
+
+    def test_leading_byte_order_mark(self, tmp_path):
+        # as spreadsheet programs export UTF-8 CSV
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0\n2.0,0.5\n")
+        out = load_signal(str(path))
+        assert np.array_equal(out, np.array([1.0, 2 + 0.5j]))
 
     def test_missing_file(self):
         with pytest.raises(InputParseError):
@@ -497,6 +507,38 @@ class TestStreamedOutput:
         proc = subprocess.run([sys.executable, "-c", code, str(fifo)], env=env,
                               capture_output=True, timeout=60)
         assert proc.returncode == 1 and b"Broken pipe" in proc.stderr
+
+    def test_child_is_stopped_where_the_two_processes_meet(self, monkeypatch):
+        # the child formats its half at once; this process takes 20 ms a part, so it meets the
+        # child's parts at part 4 and must stop the child there, not after the last part
+        parent = os.getpid()
+
+        def part(i):
+            if os.getpid() == parent:
+                time.sleep(0.02)
+            return f"part {i}\n"
+
+        yielded, kills = [], []
+        kill = os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(len(yielded)) or kill(pid, sig))
+        for text in cli._formatted([functools.partial(part, i) for i in range(8)], True):
+            yielded.append(text)
+        assert yielded == [f"part {i}\n" for i in range(8)]
+        assert kills[0] < 8
+
+    def test_fork_warning_of_a_threaded_process_is_ignored(self, tmp_path, monkeypatch):
+        # from Python 3.12 os.fork warns like this when another thread runs, as numpy's BLAS does
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        argv = self.VARIANTS["plain"] + ["--n", str(2 * B)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_bytes() == whole_table(argv).encode()
 
     def test_closed_stdout_is_one_error_line(self):
         # `>&-` starts the interpreter with fd 1 closed, so sys.stdout is None
