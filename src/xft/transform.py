@@ -8,10 +8,13 @@ closed unit disk away from 0 and +-1.
 """
 
 import functools
+import os
+import threading
 
 import numpy as np
 
 from .dft_engine import as_complex_signal, as_complex_vector, dft_forward
+from .errors import NonFiniteSignalError
 from .hermite import asymptotic_grid
 from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
 
@@ -19,6 +22,16 @@ from .kernel_dense import TransformParams, make_params, mehler_entries, outer_ex
 # (N, z) pair a caller cycling over a few sizes and z keeps hot, while a
 # stream of fresh z cannot grow memory without limit.
 _CHIRP_CACHE_SIZE = 32
+
+# Even sizes from here up run the DFT as two half-length DFTs on two threads.
+_SPLIT_MIN = 2**17
+
+# Ranges of j that the split pass's butterfly and output phases run as separate tasks.
+_CHUNKS = 4
+
+# The one worker thread of the split pass, started on the first split call.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 class SpectrumResult:
@@ -114,20 +127,119 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     real parts grow like N; once one passes log(float64 max) ~ 709.78 this
     raises CapabilityError naming N, z and the exponent, before any exp.
 
-    One pass over one buffer the call owns: y = back * g, the DFT in place in
-    y, then y *= front; g is never written.  g is checked only for shape here.
-    Its one finite check is dft_forward's, on back * g, which the finite
-    chirps leave non-finite wherever g is, so NaN or Inf still raises
-    NonFiniteSignalError.  The abscissae are computed on first read.
+    For N < 2^17, odd N or a process that may run on one CPU only: one pass
+    over one buffer the call owns, y = back * g, the DFT in place in y, then
+    y *= front; g is never written.  g is checked only for shape here.  Its
+    one finite check is dft_forward's, on back * g, which the finite chirps
+    leave non-finite wherever g is, so NaN or Inf still raises
+    NonFiniteSignalError.  Otherwise _split_pass computes the DFT as two
+    halves on two threads.  The abscissae are computed on first read.
     """
     x = as_complex_vector(g)
     z = complex(z)
     params, front, back = _plan(x.size, z.real.hex(), z.imag.hex())
+    if x.size >= _SPLIT_MIN and x.size % 2 == 0 and _two_cpus():
+        return SpectrumResult(values=_split_pass(x, front, back), params=params)
     with np.errstate(invalid="ignore"):  # Inf in g: dft_forward raises NonFiniteSignalError
         y = back * x
     dft_forward(y, out=y)
     y *= front
     return SpectrumResult(values=y, params=params)
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """front * D_F * (back * x) for even N, as one radix-2 decimation-in-frequency step.
+
+    With y = back * x, h = N/2 and W_j = e^{2 pi i j/N}, the even bins are
+    D_F,h(y[:h] + y[h:]) and the odd bins D_F,h((y[:h] - y[h:]) W); W_j is
+    S_2j of the cached base chirp.  Three phases, each a list of tasks that
+    this thread and the worker share: the butterfly in place in y, in
+    _CHUNKS ranges of j; each half's finite check and its DFT in place; the
+    interleaved output times front, in _CHUNKS ranges.  The output is
+    allocated only after both DFTs have freed their scratch, so the peak
+    stays that of the one pass.  The worker calls numpy only, never a
+    traced function of the package.
+    """
+    n = x.size
+    h = n // 2
+    w = _base_chirp(n)[::2]
+    y = np.empty(n, dtype=np.complex128)
+    cuts = [h * k // _CHUNKS for k in range(_CHUNKS + 1)]
+    ranges = list(zip(cuts, cuts[1:]))
+
+    def butterfly(lo, hi):
+        a, b = y[lo:hi], y[h + lo:h + hi]
+        with np.errstate(invalid="ignore"):  # Inf in x: the finite check below raises
+            np.multiply(back[lo:hi], x[lo:hi], out=a)
+            np.multiply(back[h + lo:h + hi], x[h + lo:h + hi], out=b)
+            t = a - b
+            a += b
+            np.multiply(t, w[lo:hi], out=b)
+
+    def half_dft(u):
+        # NaN or Inf anywhere in back * x reaches y[:h], the sums
+        if not np.isfinite(u.view(np.float64)).all():
+            raise NonFiniteSignalError("signal contains NaN or Inf samples")
+        np.fft.ifft(u, norm="forward", out=u)
+
+    def interleave(lo, hi):
+        np.multiply(front[2 * lo:2 * hi:2], y[lo:hi], out=out[2 * lo:2 * hi:2])
+        np.multiply(front[2 * lo + 1:2 * hi:2], y[h + lo:h + hi], out=out[2 * lo + 1:2 * hi:2])
+
+    _on_two_threads([functools.partial(butterfly, lo, hi) for lo, hi in ranges])
+    _on_two_threads([functools.partial(half_dft, y[:h]), functools.partial(half_dft, y[h:])])
+    out = np.empty(n, dtype=np.complex128)
+    _on_two_threads([functools.partial(interleave, lo, hi) for lo, hi in ranges])
+    return out
+
+
+def _on_two_threads(tasks):
+    """Run each callable of tasks once, on this thread or on the worker.
+
+    Both take the next task left until none is; so when another process
+    holds the second CPU, this thread runs what the worker has not started
+    rather than wait for it to be scheduled.  Returns once both have ended,
+    raising what this thread raised, else what the worker raised.  The
+    worker stays usable after either.
+    """
+    global _pool
+    with _pool_lock:  # callers on several threads start one worker between them
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
+
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-dft")
+    left = iter(tasks)  # one next() at a time: each task is taken once
+
+    def drain():
+        for task in left:
+            task()
+
+    future = _pool.submit(drain)
+    try:
+        drain()
+    finally:
+        error = None if future.cancel() else future.exception()
+    if error is not None:
+        raise error
+
+
+def _forget_pool():
+    """A forked child has no worker thread, and its copy of the lock may be held by a
+    thread it lacks: it starts its own worker on its first split call."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def frft_dense_check(g, z: complex) -> np.ndarray:

@@ -549,6 +549,15 @@ class TestStreamedOutput:
         assert proc.stderr == b"error: stdout is closed\n"
 
 
+def test_import_leaves_thread_pool_unimported():
+    # every CLI process imports xft.cli; the split pass's thread pool module costs ~8 ms
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, xft.cli; assert 'concurrent.futures' not in sys.modules, 'imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestCorpusAndBench:
     def test_corpus_check_passes(self, tmp_path):
         status, text = run_to_file(tmp_path, ["corpus-check"])

@@ -1,7 +1,15 @@
 """Fast chirp-FFT-chirp transforms against dense matrix references."""
 
+import concurrent.futures
+import functools
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +99,7 @@ class TestBoundaryTransform:
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] < 1e-2
 
-    @pytest.mark.parametrize("n", [2**19, 100003])
+    @pytest.mark.parametrize("n", [2**19, 131074, 100003])
     def test_impulse_matches_high_precision_entries(self, n):
         # the entry phase reaches about pi n / 2, so a chirp phase rounded
         # before its reduction mod 2 pi is off by about n ulps here
@@ -300,6 +308,167 @@ class TestCore:
         result = frft_forward(np.ones(16), 0.8 * np.exp(1.0j))
         assert result.abscissae is result.abscissae
         assert np.array_equal(result.abscissae, result.params.a * asymptotic_grid(16).nodes)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, so even N >= 2^17 take the split pass on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _run_python(code, *args, timeout=120):
+    env = dict(os.environ, PYTHONPATH=str(Path(transform.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# forces two CPUs before xft is imported, as the two_cpus fixture does in process
+_TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
+
+
+class TestSplitPass:
+    """Even N >= 2^17 on two CPUs: the DFT as two half-length DFTs on two threads."""
+
+    # 131074 = 2 * 65537: each half is a prime length, which pocketfft runs as Bluestein
+    @pytest.mark.parametrize("n", [2**17, 131074, 2**19])
+    @pytest.mark.parametrize("z", [1j, -1j, np.exp(0.7j), 0.99 * np.exp(1.3j)])
+    def test_agrees_with_one_pass_product(self, two_cpus, n, z):
+        g = random_signal(n, n)
+        _, front, back = _plan_of(n, z)
+        ref = front * np.fft.ifft(back * g, norm="forward")
+        out = frft_forward(g, z).values
+        assert any(thread.name.startswith("xft-dft") for thread in threading.enumerate())
+        assert np.max(np.abs(out - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+    @pytest.fixture(scope="class")
+    def fresh_values(self, tmp_path_factory):
+        """frft_forward at e^{0.7i} and xft_inverse of one 2^17-point signal, from a fresh process."""
+        path = tmp_path_factory.mktemp("split") / "values.npy"
+        g = random_signal(2**17, 11)
+        np.save(path, g)
+        code = _TWO_CPUS + (
+            "import sys, numpy as np, xft\n"
+            "g = np.load(sys.argv[1])\n"
+            "np.save(sys.argv[1], np.stack([xft.frft_forward(g, np.exp(0.7j)).values, xft.xft_inverse(g)]))\n")
+        proc = _run_python(code, path)
+        assert proc.returncode == 0, proc.stderr
+        return g, np.load(path)
+
+    @pytest.mark.parametrize("index,value", [(0, np.nan), (-1, np.inf)])
+    @pytest.mark.parametrize("row,fn", [(0, lambda g: frft_forward(g, np.exp(0.7j)).values),
+                                        (1, xft_inverse)], ids=["frft_forward", "xft_inverse"])
+    def test_non_finite_sample_raises_then_next_call_is_clean(self, two_cpus, fresh_values,
+                                                               index, value, row, fn):
+        g, fresh = fresh_values
+        bad = g.copy()
+        bad[index] = value
+        with pytest.raises(NonFiniteSignalError):
+            fn(bad)
+        assert np.array_equal(fn(g), fresh[row])
+
+    def test_worker_error_propagates_and_worker_stays_usable(self):
+        here = threading.current_thread()
+        worker_took_one = threading.Event()
+
+        def task():
+            if threading.current_thread() is here:
+                assert worker_took_one.wait(10)
+            else:
+                worker_took_one.set()
+                raise NonFiniteSignalError("raised on the worker")
+
+        with pytest.raises(NonFiniteSignalError, match="on the worker"):
+            transform._on_two_threads([task, task])
+        ran = []
+        transform._on_two_threads([functools.partial(ran.append, k) for k in range(4)])
+        assert sorted(ran) == [0, 1, 2, 3]
+
+    def test_tasks_the_worker_has_not_started_run_here(self):
+        # as when another process holds the second CPU and the worker is not scheduled
+        transform._on_two_threads([])  # the worker exists
+        gate = threading.Event()
+        busy = transform._pool.submit(gate.wait, 10)
+        ran_on = []
+        try:
+            transform._on_two_threads([lambda: ran_on.append(threading.current_thread())] * 4)
+        finally:
+            gate.set()
+        assert busy.result()
+        assert ran_on == [threading.current_thread()] * 4
+
+    def test_one_cpu_is_the_one_pass_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(transform, "_pool", None)  # a split call would start a new worker
+        n, z = 2**17, np.exp(0.7j)
+        g = random_signal(n, 12)
+        _, front, back = _plan_of(n, z)
+        expected = dft_forward(back * g)
+        expected *= front
+        threads = threading.active_count()
+        assert np.array_equal(frft_forward(g, z).values, expected)
+        assert threading.active_count() == threads
+
+    def test_concurrent_callers_share_one_worker(self, two_cpus, monkeypatch):
+        # more callers than CPUs, switching threads as often as the interpreter allows
+        n, z = 2**17, np.exp(0.7j)
+        g = random_signal(n, 13)
+        expected = frft_forward(g, z).values
+        monkeypatch.setattr(transform, "_pool", None)  # the callers race to start the worker
+        started = []
+
+        class SlowToStart(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                time.sleep(0.05)  # every caller reaches the check while the first is here
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowToStart)
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(4, timeout=60)
+
+        def call(k):
+            start.wait()
+            for _ in range(3):
+                results[k].append(frft_forward(g, z).values)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(r) == 3 and all(np.array_equal(v, expected) for v in r) for r in results)
+        assert started == [transform._pool]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self):
+        # the child inherits no worker thread; without one of its own its first split call would wait forever
+        code = _TWO_CPUS + (
+            "import signal, sys, numpy as np, xft\n"
+            "g = np.ones(2**17)\n"
+            "first = xft.xft_forward(g).values\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if np.array_equal(xft.xft_forward(g).values, first) else 3)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_below_split_size_starts_no_thread(self):
+        code = _TWO_CPUS + (
+            "import sys, threading, numpy as np, xft\n"
+            "xft.frft_forward(np.ones(65536), np.exp(0.7j))\n"
+            "xft.xft_inverse(np.ones(65536))\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _full_grid_plan(n, z):
