@@ -23,10 +23,11 @@ from .kernel_dense import TransformParams, make_params, mehler_entries, outer_ex
 # stream of fresh z cannot grow memory without limit.
 _CHIRP_CACHE_SIZE = 32
 
-# Even sizes from here up run the DFT as two half-length DFTs on two threads.
+# Even sizes from here up run the DFT as a four-step pass on two threads.
 _SPLIT_MIN = 2**17
 
-# Ranges of j that the split pass's butterfly and output phases run as separate tasks.
+# Split pass: n1 = N's largest power-of-two factor, at most _N1_MAX; _CHUNKS tasks per phase.
+_N1_MAX = 16
 _CHUNKS = 4
 
 # The one worker thread of the split pass, started on the first split call.
@@ -132,8 +133,8 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     y *= front; g is never written.  g is checked only for shape here.  Its
     one finite check is dft_forward's, on back * g, which the finite chirps
     leave non-finite wherever g is, so NaN or Inf still raises
-    NonFiniteSignalError.  Otherwise _split_pass computes the DFT as two
-    halves on two threads.  The abscissae are computed on first read.
+    NonFiniteSignalError.  Otherwise _split_pass computes the DFT as short
+    column and row DFTs on two threads.  The abscissae are computed on first read.
     """
     x = as_complex_vector(g)
     z = complex(z)
@@ -156,49 +157,48 @@ def _two_cpus() -> bool:
 
 
 def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """front * D_F * (back * x) for even N, as one radix-2 decimation-in-frequency step.
+    """front * D_F * (back * x) for even N, as one four-step pass (Bailey 1990).
 
-    With y = back * x, h = N/2 and W_j = e^{2 pi i j/N}, the even bins are
-    D_F,h(y[:h] + y[h:]) and the odd bins D_F,h((y[:h] - y[h:]) W); W_j is
-    S_2j of the cached base chirp.  Three phases, each a list of tasks that
-    this thread and the worker share: the butterfly in place in y, in
-    _CHUNKS ranges of j; each half's finite check and its DFT in place; the
-    interleaved output times front, in _CHUNKS ranges.  The output is
-    allocated only after both DFTs have freed their scratch, so the peak
-    stays that of the one pass.  The worker calls numpy only, never a
-    traced function of the package.
+    With y = back * x, N = n1 n2 and W = e^{2 pi i/N}, bin k1 + n1 k2 of D_F y is
+    D_F,n2 over j2 of a[k1, j2] = W^(k1 j2) D_F,n1(y[j1 n2 + j2] over j1)_k1.  Three
+    phases of tasks that this thread and the worker share, each in _CHUNKS ranges:
+    columns of a (y, its finite check, the length-n1 DFTs in place, the twiddle);
+    the rows' DFTs in place; the output, the transpose of a times front.  No DFT
+    needs an N-sized scratch.  The worker calls numpy only, never a traced function.
     """
-    n = x.size
-    h = n // 2
-    w = _base_chirp(n)[::2]
-    y = np.empty(n, dtype=np.complex128)
-    cuts = [h * k // _CHUNKS for k in range(_CHUNKS + 1)]
-    ranges = list(zip(cuts, cuts[1:]))
+    tw = _twiddle(x.size)
+    n1, n2 = tw.shape
+    a, out = np.empty((n1, n2), dtype=np.complex128), np.empty(x.size, dtype=np.complex128)
 
-    def butterfly(lo, hi):
-        a, b = y[lo:hi], y[h + lo:h + hi]
+    def columns(lo, hi):
+        u = a[:, lo:hi]
         with np.errstate(invalid="ignore"):  # Inf in x: the finite check below raises
-            np.multiply(back[lo:hi], x[lo:hi], out=a)
-            np.multiply(back[h + lo:h + hi], x[h + lo:h + hi], out=b)
-            t = a - b
-            a += b
-            np.multiply(t, w[lo:hi], out=b)
-
-    def half_dft(u):
-        # NaN or Inf anywhere in back * x reaches y[:h], the sums
+            np.multiply(back.reshape(n1, n2)[:, lo:hi], x.reshape(n1, n2)[:, lo:hi], out=u)
         if not np.isfinite(u.view(np.float64)).all():
             raise NonFiniteSignalError("signal contains NaN or Inf samples")
-        np.fft.ifft(u, norm="forward", out=u)
+        np.fft.ifft(u, axis=0, norm="forward", out=u)
+        u *= tw[:, lo:hi]
 
-    def interleave(lo, hi):
-        np.multiply(front[2 * lo:2 * hi:2], y[lo:hi], out=out[2 * lo:2 * hi:2])
-        np.multiply(front[2 * lo + 1:2 * hi:2], y[h + lo:h + hi], out=out[2 * lo + 1:2 * hi:2])
+    def rows(lo, hi):
+        np.fft.ifft(a[lo:hi], axis=1, norm="forward", out=a[lo:hi])
 
-    _on_two_threads([functools.partial(butterfly, lo, hi) for lo, hi in ranges])
-    _on_two_threads([functools.partial(half_dft, y[:h]), functools.partial(half_dft, y[h:])])
-    out = np.empty(n, dtype=np.complex128)
-    _on_two_threads([functools.partial(interleave, lo, hi) for lo, hi in ranges])
+    def transpose(lo, hi):
+        np.multiply(front.reshape(n2, n1)[lo:hi], a[:, lo:hi].T, out=out.reshape(n2, n1)[lo:hi])
+
+    for task, m in ((columns, n2), (rows, n1), (transpose, n2)):
+        cuts = [m * k // _CHUNKS for k in range(_CHUNKS + 1)]
+        _on_two_threads([functools.partial(task, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
     return out
+
+
+@functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
+def _twiddle(n: int) -> np.ndarray:
+    """W^(k1 j2) on the split pass's (n1, n/n1) grid, W = e^{2 pi i/n}, n even, with no exp:
+    W^m = S_2m for m < n/2 and -S_(2m-n) from there.  Freeing the 2n-long source raises glibc's
+    mmap and trim thresholds, so later calls reuse the pass's buffers rather than fault them in."""
+    n1 = min(n & -n, _N1_MAX)
+    s = _base_chirp(n)
+    return np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)]  # k1 j2 < n
 
 
 def _on_two_threads(tasks):

@@ -615,6 +615,28 @@ class TestCorpusAndBench:
         assert payload["numpy"] == np.__version__
         assert payload["nproc"] >= 1
 
+    def test_bench_warms_every_op_before_timing_any(self, tmp_path, monkeypatch):
+        # the first op timed at a size would otherwise be the only one to meet fresh memory
+        events = []
+
+        def recording(name, fn):
+            return lambda *args: events.append(name) or fn(*args)
+
+        for name in ("xft_forward", "frft_forward", "xft_inverse"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        plan = SimpleNamespace(__wrapped__=recording("plan", cli._plan.__wrapped__))
+        monkeypatch.setattr(cli, "_plan", plan)
+
+        def fake_repeat(op, setup, number, repeat):
+            events.append("timed")
+            return [1.0]
+
+        monkeypatch.setattr(cli.timeit, "repeat", fake_repeat)
+        status, _ = run_to_file(tmp_path, ["bench", "--min-exp", "6", "--max-exp", "7"])
+        assert status == 0
+        warm = ["xft_forward", "frft_forward", "xft_forward", "xft_inverse", "plan"]
+        assert events == (warm + ["timed"] * 4) * 2
+
     def test_bench_output_bytes(self, tmp_path, monkeypatch):
         # fixed timings pin the table bytes; each time is the best of --repeats
         # single calls, timed with the garbage collector on

@@ -327,10 +327,12 @@ _TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
 
 
 class TestSplitPass:
-    """Even N >= 2^17 on two CPUs: the DFT as two half-length DFTs on two threads."""
+    """Even N >= 2^17 on two CPUs: the DFT as a four-step pass on two threads."""
 
-    # 131074 = 2 * 65537: each half is a prime length, which pocketfft runs as Bluestein
-    @pytest.mark.parametrize("n", [2**17, 131074, 2**19])
+    # every row shape: n1 = 16 (2^17, 2^19), n1 = 8 (131080 = 8 * 16385), n1 = 2 with
+    # prime rows that pocketfft runs as Bluestein (131074 = 2 * 65537), and n1 = 16 with
+    # Bluestein rows (131344 = 16 * 8209)
+    @pytest.mark.parametrize("n", [2**17, 131074, 2**19, 131080, 131344])
     @pytest.mark.parametrize("z", [1j, -1j, np.exp(0.7j), 0.99 * np.exp(1.3j)])
     def test_agrees_with_one_pass_product(self, two_cpus, n, z):
         g = random_signal(n, n)
@@ -339,6 +341,36 @@ class TestSplitPass:
         out = frft_forward(g, z).values
         assert any(thread.name.startswith("xft-dft") for thread in threading.enumerate())
         assert np.max(np.abs(out - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2**17, 131074, 2**19, 131080, 131344])
+    def test_twiddle_is_gathered_from_the_base_chirp(self, n):
+        tw = transform._twiddle(n)
+        n1, n2 = tw.shape
+        assert n1 == min(n & -n, 16) and n1 * n2 == n
+        m = np.arange(n1)[:, None] * np.arange(n2) % n  # the phase k1 j2, reduced mod N in integers
+        s = transform._base_chirp(n)
+        low = m < n // 2
+        assert np.array_equal(tw[low].view(np.float64), s[2 * m[low]].view(np.float64))
+        assert np.array_equal(tw[~low].view(np.float64), (-s[2 * m[~low] - n]).view(np.float64))
+        # both sides round a phase of up to 2 pi: they differ by at most 6.1 eps at these N
+        assert np.max(np.abs(tw - np.exp(2j * np.pi * m / n))) <= 8 * np.finfo(np.float64).eps
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's fresh pages through ru_minflt")
+    def test_calls_after_the_first_touch_no_fresh_pages(self):
+        # a 1-D DFT of 2^19 points takes a 2N scratch, a fresh mmap that faults in about
+        # 2N * 16 / 4096 pages on every call; the four-step's short DFTs need none that large
+        code = _TWO_CPUS + (
+            "import resource, numpy as np, xft\n"
+            "g = np.ones(2**19, dtype=complex)\n"
+            "xft.xft_forward(g)\n"
+            "for _ in range(5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    xft.xft_forward(g)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 5 and max(faults) < 2**19 * 16 // 4096 // 4, faults
 
     @pytest.fixture(scope="class")
     def fresh_values(self, tmp_path_factory):
