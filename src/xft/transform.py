@@ -128,32 +128,24 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     real parts grow like N; once one passes log(float64 max) ~ 709.78 this
     raises CapabilityError naming N, z and the exponent, before any exp.
 
-    For N < 2^17, odd N or a process that may run on one CPU only: one pass
-    over one buffer the call owns, y = back * g, the DFT in place in y, then
-    y *= front; g is never written.  g is checked only for shape here.  Its
-    one finite check is dft_forward's, on back * g, which the finite chirps
-    leave non-finite wherever g is, so NaN or Inf still raises
-    NonFiniteSignalError.  Otherwise _split_pass computes the DFT as short
-    column and row DFTs on two threads.  The abscissae are computed on first read.
+    For N < 2^17 or odd N: one pass over one buffer the call owns, y = back * g,
+    the DFT in place in y, then y *= front; g is never written.  g is checked
+    only for shape here.  Its one finite check is dft_forward's, on back * g,
+    which the finite chirps leave non-finite wherever g is, so NaN or Inf still
+    raises NonFiniteSignalError.  Even N >= 2^17 take _split_pass, which computes
+    the DFT as short column and row DFTs on two threads, on any host: the bits
+    do not depend on the CPU count.  The abscissae are computed on first read.
     """
     x = as_complex_vector(g)
     z = complex(z)
     params, front, back = _plan(x.size, z.real.hex(), z.imag.hex())
-    if x.size >= _SPLIT_MIN and x.size % 2 == 0 and _two_cpus():
+    if x.size >= _SPLIT_MIN and x.size % 2 == 0:
         return SpectrumResult(values=_split_pass(x, front, back), params=params)
     with np.errstate(invalid="ignore"):  # Inf in g: dft_forward raises NonFiniteSignalError
         y = back * x
     dft_forward(y, out=y)
     y *= front
     return SpectrumResult(values=y, params=params)
-
-
-def _two_cpus() -> bool:
-    """Whether this process may run on at least two CPUs."""
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) > 1
 
 
 def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -204,25 +196,29 @@ def _twiddle(n: int) -> np.ndarray:
 def _on_two_threads(tasks):
     """Run each callable of tasks once, on this thread or on the worker.
 
-    Both take the next task left until none is; so when another process
-    holds the second CPU, this thread runs what the worker has not started
-    rather than wait for it to be scheduled.  Returns once both have ended,
-    raising what this thread raised, else what the worker raised.  The
-    worker stays usable after either.
+    Both take the next task left until none is; so when the worker is not
+    scheduled (one CPU, or another process holds the second), this thread
+    runs what it has not started.  Returns once both have ended, raising
+    what this thread raised, else what the worker raised.  The worker stays
+    usable after either.  Where no worker can be had (interpreter shutdown,
+    no thread can start), this thread runs every task, with the same bits.
     """
     global _pool
-    with _pool_lock:  # callers on several threads start one worker between them
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
-
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-dft")
     left = iter(tasks)  # one next() at a time: each task is taken once
 
     def drain():
         for task in left:
             task()
 
-    future = _pool.submit(drain)
+    try:
+        with _pool_lock:  # callers on several threads start one worker between them
+            if _pool is None:
+                from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
+
+                _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-dft")
+        future = _pool.submit(drain)
+    except RuntimeError:  # after shutdown began, or "can't start new thread"
+        return drain()
     try:
         drain()
     finally:

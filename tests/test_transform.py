@@ -310,31 +310,21 @@ class TestCore:
         assert np.array_equal(result.abscissae, result.params.a * asymptotic_grid(16).nodes)
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The process may run on two CPUs, so even N >= 2^17 take the split pass on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def _run_python(code, *args, timeout=120):
     env = dict(os.environ, PYTHONPATH=str(Path(transform.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
-# forces two CPUs before xft is imported, as the two_cpus fixture does in process
-_TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
-
-
 class TestSplitPass:
-    """Even N >= 2^17 on two CPUs: the DFT as a four-step pass on two threads."""
+    """Even N >= 2^17: the DFT as a four-step pass on two threads, whatever the CPU count."""
 
     # every row shape: n1 = 16 (2^17, 2^19), n1 = 8 (131080 = 8 * 16385), n1 = 2 with
     # prime rows that pocketfft runs as Bluestein (131074 = 2 * 65537), and n1 = 16 with
     # Bluestein rows (131344 = 16 * 8209)
     @pytest.mark.parametrize("n", [2**17, 131074, 2**19, 131080, 131344])
     @pytest.mark.parametrize("z", [1j, -1j, np.exp(0.7j), 0.99 * np.exp(1.3j)])
-    def test_agrees_with_one_pass_product(self, two_cpus, n, z):
+    def test_agrees_with_one_pass_product(self, n, z):
         g = random_signal(n, n)
         _, front, back = _plan_of(n, z)
         ref = front * np.fft.ifft(back * g, norm="forward")
@@ -359,7 +349,7 @@ class TestSplitPass:
     def test_calls_after_the_first_touch_no_fresh_pages(self):
         # a 1-D DFT of 2^19 points takes a 2N scratch, a fresh mmap that faults in about
         # 2N * 16 / 4096 pages on every call; the four-step's short DFTs need none that large
-        code = _TWO_CPUS + (
+        code = (
             "import resource, numpy as np, xft\n"
             "g = np.ones(2**19, dtype=complex)\n"
             "xft.xft_forward(g)\n"
@@ -378,7 +368,7 @@ class TestSplitPass:
         path = tmp_path_factory.mktemp("split") / "values.npy"
         g = random_signal(2**17, 11)
         np.save(path, g)
-        code = _TWO_CPUS + (
+        code = (
             "import sys, numpy as np, xft\n"
             "g = np.load(sys.argv[1])\n"
             "np.save(sys.argv[1], np.stack([xft.frft_forward(g, np.exp(0.7j)).values, xft.xft_inverse(g)]))\n")
@@ -389,8 +379,7 @@ class TestSplitPass:
     @pytest.mark.parametrize("index,value", [(0, np.nan), (-1, np.inf)])
     @pytest.mark.parametrize("row,fn", [(0, lambda g: frft_forward(g, np.exp(0.7j)).values),
                                         (1, xft_inverse)], ids=["frft_forward", "xft_inverse"])
-    def test_non_finite_sample_raises_then_next_call_is_clean(self, two_cpus, fresh_values,
-                                                               index, value, row, fn):
+    def test_non_finite_sample_raises_then_next_call_is_clean(self, fresh_values, index, value, row, fn):
         g, fresh = fresh_values
         bad = g.copy()
         bad[index] = value
@@ -428,19 +417,55 @@ class TestSplitPass:
         assert busy.result()
         assert ran_on == [threading.current_thread()] * 4
 
-    def test_one_cpu_is_the_one_pass_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(transform, "_pool", None)  # a split call would start a new worker
-        n, z = 2**17, np.exp(0.7j)
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    @pytest.mark.parametrize("n", [2**17, 131074])  # n1 = 16, and n1 = 2
+    def test_one_cpu_gives_the_same_bits(self, tmp_path, n):
         g = random_signal(n, 12)
-        _, front, back = _plan_of(n, z)
-        expected = dft_forward(back * g)
-        expected *= front
-        threads = threading.active_count()
-        assert np.array_equal(frft_forward(g, z).values, expected)
-        assert threading.active_count() == threads
+        path = tmp_path / "values.npy"
+        np.save(path, g)
+        # the child pins only itself, before its worker starts: the worker inherits the one CPU
+        code = (
+            "import os, sys, threading, numpy as np, xft\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "g = np.load(sys.argv[1])\n"
+            "values = np.stack([xft.frft_forward(g, np.exp(0.7j)).values, xft.xft_inverse(g)])\n"
+            "assert any(t.name.startswith('xft-dft') for t in threading.enumerate()), threading.enumerate()\n"
+            "np.save(sys.argv[1], values)\n")
+        proc = _run_python(code, path)
+        assert proc.returncode == 0, proc.stderr
+        one_cpu = np.load(path)
+        assert np.array_equal(one_cpu[0], frft_forward(g, np.exp(0.7j)).values)
+        assert np.array_equal(one_cpu[1], xft_inverse(g))
 
-    def test_concurrent_callers_share_one_worker(self, two_cpus, monkeypatch):
+    @pytest.mark.parametrize("late", [
+        "atexit.register(run)\n",
+        "run()\natexit.register(run)\n",
+        # joining the main thread returns once shutdown has begun
+        "threading.Thread(target=lambda: (threading.main_thread().join(), run())).start()\n",
+        "start = threading.Thread.start\n"
+        "def refuse(self):\n"
+        "    raise RuntimeError(\"can't start new thread\")\n"
+        "threading.Thread.start = refuse\n"
+        "run()\n"
+        "threading.Thread.start = start\n"
+        "run()\n",
+    ], ids=["at_exit", "at_exit_after_a_call", "thread_outliving_main", "no_thread_starts"])
+    def test_runs_on_this_thread_where_no_worker_can(self, tmp_path, late):
+        g = random_signal(2**17, 14)
+        path = tmp_path / "values.npy"
+        np.save(path, g)
+        code = (
+            "import atexit, sys, threading, numpy as np, xft\n"
+            "g, out = np.load(sys.argv[1]), []\n"
+            "def run():\n"
+            "    out.append(xft.xft_forward(g).values)\n"
+            "    np.save(sys.argv[1], np.stack(out))\n") + late
+        proc = _run_python(code, path)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        values = np.load(path)
+        assert values.ndim == 2 and all(np.array_equal(v, xft_forward(g).values) for v in values)
+
+    def test_concurrent_callers_share_one_worker(self, monkeypatch):
         # more callers than CPUs, switching threads as often as the interpreter allows
         n, z = 2**17, np.exp(0.7j)
         g = random_signal(n, 13)
@@ -480,8 +505,8 @@ class TestSplitPass:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_worker(self):
         # the child inherits no worker thread; without one of its own its first split call would wait forever
-        code = _TWO_CPUS + (
-            "import signal, sys, numpy as np, xft\n"
+        code = (
+            "import os, signal, sys, numpy as np, xft\n"
             "g = np.ones(2**17)\n"
             "first = xft.xft_forward(g).values\n"
             "pid = os.fork()\n"
@@ -493,7 +518,7 @@ class TestSplitPass:
         assert proc.returncode == 0, proc.stderr
 
     def test_below_split_size_starts_no_thread(self):
-        code = _TWO_CPUS + (
+        code = (
             "import sys, threading, numpy as np, xft\n"
             "xft.frft_forward(np.ones(65536), np.exp(0.7j))\n"
             "xft.xft_inverse(np.ones(65536))\n"
