@@ -9,7 +9,6 @@ closed unit disk away from 0 and +-1.
 
 import functools
 import os
-import threading
 
 import numpy as np
 
@@ -30,9 +29,8 @@ _SPLIT_MIN = 2**17
 _N1_MAX = 16
 _CHUNKS = 4
 
-# The one worker thread of the split pass, started on the first split call.
-_pool = None
-_pool_lock = threading.Lock()
+# The split pass's one worker pool, under the key "worker": mutated, never rebound (the fork hook holds it).
+_pool = {}
 
 
 class SpectrumResult:
@@ -196,14 +194,14 @@ def _twiddle(n: int) -> np.ndarray:
 def _on_two_threads(tasks):
     """Run each callable of tasks once, on this thread or on the worker.
 
-    Both take the next task left until none is; so when the worker is not
-    scheduled (one CPU, or another process holds the second), this thread
-    runs what it has not started.  Returns once both have ended, raising
-    what this thread raised, else what the worker raised.  The worker stays
-    usable after either.  Where no worker can be had (interpreter shutdown,
-    no thread can start), this thread runs every task, with the same bits.
+    Both take the next task left until none is; so when the worker is not scheduled
+    (one CPU, or another process holds the second), this thread runs what it has not
+    started.  Returns once both have ended, raising what this thread raised, else
+    what the worker raised.  The worker stays usable after either.  Where no worker
+    can be had (interpreter shutdown, no thread can start), this thread runs every
+    task, with the same bits, and drops the pool with any work a failed start left
+    queued; a forked child drops it too.
     """
-    global _pool
     left = iter(tasks)  # one next() at a time: each task is taken once
 
     def drain():
@@ -211,13 +209,14 @@ def _on_two_threads(tasks):
             task()
 
     try:
-        with _pool_lock:  # callers on several threads start one worker between them
-            if _pool is None:
-                from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
+        pool = _pool.get("worker")
+        if pool is None:  # racing callers may each build one; only the stored one gets work and a thread
+            from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
 
-                _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-dft")
-        future = _pool.submit(drain)
+            pool = _pool.setdefault("worker", ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-dft"))
+        future = pool.submit(drain)
     except RuntimeError:  # after shutdown began, or "can't start new thread"
+        _pool.clear()
         return drain()
     try:
         drain()
@@ -227,15 +226,8 @@ def _on_two_threads(tasks):
         raise error
 
 
-def _forget_pool():
-    """A forked child has no worker thread, and its copy of the lock may be held by a
-    thread it lacks: it starts its own worker on its first split call."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: it builds its own pool
+    os.register_at_fork(after_in_child=_pool.clear)
 
 
 def frft_dense_check(g, z: complex) -> np.ndarray:

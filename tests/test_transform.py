@@ -261,7 +261,7 @@ def _plan_of(n, z):
 class TestCore:
     """The one-pass core against the chirp * DFT * chirp product it evaluates."""
 
-    @pytest.mark.parametrize("n", [1, 2, 1009, 4096, 2**16])
+    @pytest.mark.parametrize("n", [1, 2, 1009, 4096, 2**16, 131071])  # 131071: odd and prime
     @pytest.mark.parametrize("z", [1j, np.exp(0.7j), 0.9 * np.exp(1.2j)])
     def test_forward_bitwise_equals_product(self, n, z):
         g = random_signal(n, n)
@@ -408,7 +408,7 @@ class TestSplitPass:
         # as when another process holds the second CPU and the worker is not scheduled
         transform._on_two_threads([])  # the worker exists
         gate = threading.Event()
-        busy = transform._pool.submit(gate.wait, 10)
+        busy = transform._pool["worker"].submit(gate.wait, 10)
         ran_on = []
         try:
             transform._on_two_threads([lambda: ran_on.append(threading.current_thread())] * 4)
@@ -446,6 +446,19 @@ class TestSplitPass:
         "def refuse(self):\n"
         "    raise RuntimeError(\"can't start new thread\")\n"
         "threading.Thread.start = refuse\n"
+        # a call that raises partway must leave no work queued for the next worker
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from xft.errors import NonFiniteSignalError\n"
+        "bad = g.copy()\n"
+        "bad[0] = np.nan\n"
+        "try:\n"
+        "    xft.xft_forward(bad)\n"
+        "    sys.exit('no NonFiniteSignalError')\n"
+        "except NonFiniteSignalError:\n"
+        "    pass\n"
+        "gc.collect()\n"
+        "queued = [p._work_queue.qsize() for p in gc.get_objects() if isinstance(p, ThreadPoolExecutor)]\n"
+        "assert not any(queued), queued\n"
         "run()\n"
         "threading.Thread.start = start\n"
         "run()\n",
@@ -455,7 +468,7 @@ class TestSplitPass:
         path = tmp_path / "values.npy"
         np.save(path, g)
         code = (
-            "import atexit, sys, threading, numpy as np, xft\n"
+            "import atexit, gc, sys, threading, numpy as np, xft\n"
             "g, out = np.load(sys.argv[1]), []\n"
             "def run():\n"
             "    out.append(xft.xft_forward(g).values)\n"
@@ -470,14 +483,19 @@ class TestSplitPass:
         n, z = 2**17, np.exp(0.7j)
         g = random_signal(n, 13)
         expected = frft_forward(g, z).values
-        monkeypatch.setattr(transform, "_pool", None)  # the callers race to start the worker
+        monkeypatch.delitem(transform._pool, "worker")  # the callers race to start the worker
         started = []
 
         class SlowToStart(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                started.append(self)
                 time.sleep(0.05)  # every caller reaches the check while the first is here
                 super().__init__(*args, **kwargs)
+
+            def _adjust_thread_count(self):
+                threads = len(self._threads)
+                super()._adjust_thread_count()
+                if len(self._threads) > threads:
+                    started.append(self)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowToStart)
         results = [[] for _ in range(4)]
@@ -500,7 +518,7 @@ class TestSplitPass:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert all(len(r) == 3 and all(np.array_equal(v, expected) for v in r) for r in results)
-        assert started == [transform._pool]
+        assert started == [transform._pool["worker"]]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_worker(self):
@@ -520,8 +538,9 @@ class TestSplitPass:
     def test_below_split_size_starts_no_thread(self):
         code = (
             "import sys, threading, numpy as np, xft\n"
-            "xft.frft_forward(np.ones(65536), np.exp(0.7j))\n"
-            "xft.xft_inverse(np.ones(65536))\n"
+            "for n in (65536, 131071):\n"  # odd N take the one pass at any size
+            "    xft.frft_forward(np.ones(n), np.exp(0.7j))\n"
+            "    xft.xft_inverse(np.ones(n))\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
             "assert 'concurrent.futures' not in sys.modules\n")
         proc = _run_python(code)
