@@ -522,15 +522,25 @@ class TestSplitPass:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_worker(self):
-        # the child inherits no worker thread; without one of its own its first split call would wait forever
+        # the child inherits no worker thread, and the inherited pool counts its dead one as idle:
+        # a child that kept that pool would start no thread, run every task on this thread and
+        # leave each phase's cancelled work item queued
         code = (
-            "import os, signal, sys, numpy as np, xft\n"
+            "import gc, os, signal, sys, threading, numpy as np, xft\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
             "g = np.ones(2**17)\n"
             "first = xft.xft_forward(g).values\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(30)\n"
-            "    os._exit(0 if np.array_equal(xft.xft_forward(g).values, first) else 3)\n"
+            "    same = np.array_equal(xft.xft_forward(g).values, first)\n"
+            "    workers = [t.name for t in threading.enumerate() if t.name.startswith('xft-dft')]\n"
+            "    gc.collect()\n"
+            "    queued = [p._work_queue.qsize() for p in gc.get_objects() if isinstance(p, ThreadPoolExecutor)]\n"
+            "    if not (same and workers and not any(queued)):\n"
+            "        os.write(2, f'same={same} workers={workers} queued={queued}\\n'.encode())\n"
+            "        os._exit(3)\n"
+            "    os._exit(0)\n"
             "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
