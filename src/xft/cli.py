@@ -29,14 +29,15 @@ _BLOCK = 4096  # rows per text block: a run computes everything, then formats a 
 
 # Output scales: paper is the transforms' own, namias divides by sqrt(2pi).
 CONVENTIONS = ("paper", "namias")
+_UNIT_TOL = 2 * np.finfo(float).eps  # |z| = 1 to within this: |1.0 * e^{i arg}| is within an ulp of 1
 
 
 def load_signal(path: str) -> np.ndarray:
     """Read a 1-column (real) or 2-column (re, im) CSV of samples."""
     rows = []
     try:
-        with open(path, encoding="utf-8") as fh:  # without the BOM that spreadsheets may write first
-            lines = fh.read().removeprefix("\ufeff").splitlines()
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
@@ -121,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _measure(spec, result, convention: str, compare: bool, unit: bool):
+def _measure(spec, result, convention: str, compare: bool):
     """(values, refs, summary) of a run in the output convention: the error norms
     if compare, and each harmonic measure where it is defined: leakage needs 3
-    bins, the peak a positive abscissa on the real axis (N >= 2, unit z)."""
+    bins, the peak a positive abscissa on the real axis (N >= 2, |z| = 1)."""
     # multiplied even by 1.0: the complex multiply turns some -0.0 parts of the printed values into +0.0
     values = result.values * (1.0 if convention == "paper" else 1.0 / SQRT_2PI)
     refs, summary = None, {"convention": convention}
@@ -136,7 +137,7 @@ def _measure(spec, result, convention: str, compare: bool, unit: bool):
     if spec is not None and spec.name == "harmonic":
         if values.size >= 3:
             summary["leakage_mean"] = leakage_mean(values)
-        if values.size >= 2 and unit:
+        if values.size >= 2 and abs(abs(result.params.z) - 1) <= _UNIT_TOL:
             summary["peak_frequency"] = peak_frequency(result)
     return values, refs, summary
 
@@ -153,8 +154,7 @@ def _transform_run(args: argparse.Namespace):  # not a generator: refusals come 
     with np.errstate(invalid="ignore"):  # non-finite --z-arg: OutOfDomainError, unwarned
         z = 1j if args.command == "fft" else args.z_mod * np.exp(1j * args.z_arg)
     result = frft_forward(g, z)
-    values, refs, summary = _measure(spec, result, args.convention, args.compare,
-                                     args.z_mod == 1.0)
+    values, refs, summary = _measure(spec, result, args.convention, args.compare)
 
     om = result.abscissae
     cols = {"omega_re": om.real, "omega_im": om.imag, "G_re": values.real, "G_im": values.imag}
@@ -282,7 +282,7 @@ def corpus_margin(signal, params, z, n, measure, target, tol):
     transform at z and measure the output; the row holds when margin >= 0."""
     spec = SignalSpec(signal, params)
     result = frft_forward(sample(spec, asymptotic_grid(n)), z)
-    value = _measure(spec, result, "paper", measure.startswith("max_norm"), abs(z) == 1)[2][measure]
+    value = _measure(spec, result, "paper", measure.startswith("max_norm"))[2][measure]
     tol = 0.05 * abs(target) if tol is None else tol
     return value, tol, tol - abs(value - target)
 

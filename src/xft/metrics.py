@@ -4,7 +4,6 @@ import numpy as np
 
 from .dft_engine import as_complex_signal
 from .errors import ComplexAbscissaeError, InvalidSizeError
-from .transform import SpectrumResult
 
 _REAL_AXIS_TOL = 1e-9
 
@@ -37,8 +36,8 @@ def leakage_mean(spectrum) -> float:
     return float((mags.sum() - np.partition(mags, -2)[-2:].sum()) / g.size)
 
 
-def peak_frequency(result: SpectrumResult) -> float:
-    """Abscissa of the largest-magnitude bin among positive real abscissae.
+def peak_frequency(result) -> float:
+    """Abscissa of the largest-magnitude bin of a SpectrumResult among positive real abscissae.
 
     Only meaningful on the boundary |z| = 1, where the abscissae are real;
     ties resolve to the lowest index.

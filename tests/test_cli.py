@@ -20,7 +20,7 @@ from xft import cli
 from xft.cli import build_parser, load_signal, main
 from xft.errors import InputParseError
 from xft.hermite import asymptotic_grid
-from xft.metrics import leakage_mean
+from xft.metrics import leakage_mean, peak_frequency
 from xft.signals import CORPUS_NAMES, SignalSpec, sample
 from xft.transform import frft_forward, xft_forward
 
@@ -54,8 +54,7 @@ def whole_table(argv):
     spec = SignalSpec(args.signal, dict(args.param))
     z = 1j if args.command == "fft" else args.z_mod * np.exp(1j * args.z_arg)
     result = frft_forward(sample(spec, asymptotic_grid(args.n)), z)
-    values, refs, summary = cli._measure(spec, result, args.convention, args.compare,
-                                         args.z_mod == 1.0)
+    values, refs, summary = cli._measure(spec, result, args.convention, args.compare)
     om = result.abscissae
     cols = {"omega_re": om.real, "omega_im": om.imag, "G_re": values.real, "G_im": values.imag}
     if refs is not None:
@@ -370,17 +369,19 @@ class TestTransformRuns:
         text = capsys.readouterr().out
         assert text.splitlines()[0].startswith("j,omega_re")
 
-    def test_harmonic_damped_z_omits_peak_frequency(self, tmp_path):
-        # below |z| = 1 the abscissae leave the real axis, so there is no peak to report
+    # below |z| = 1 there is no peak to report: at arg 1.5 the abscissae leave the real axis,
+    # and on the imaginary axis they stay real, so only the |z| = 1 rule leaves it out
+    @pytest.mark.parametrize("z_arg", ["1.5", "1.5707963267948966"])
+    def test_harmonic_damped_z_omits_peak_frequency(self, tmp_path, z_arg):
         status, text = run_to_file(
-            tmp_path, ["frft", "--n", "64", "--z-arg", "1.5", "--z-mod", "0.9",
+            tmp_path, ["frft", "--n", "64", "--z-arg", z_arg, "--z-mod", "0.9",
                        "--signal", "harmonic", "--param", "m=3"])
         assert status == 0
         _, rows, summary = parse_csv(text)
         assert len(rows) == 64
         assert "peak_frequency" not in summary
         g = sample(SignalSpec("harmonic", {"m": 3.0}), asymptotic_grid(64))
-        values = frft_forward(g, 0.9 * np.exp(1.5j)).values
+        values = frft_forward(g, 0.9 * np.exp(1j * float(z_arg))).values
         assert float(summary["leakage_mean"]) == leakage_mean(values)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -565,6 +566,15 @@ class TestCorpusAndBench:
         lines = text.splitlines()
         assert lines[-1] == "all checks passed"
         assert all(ln.startswith("ok  ") for ln in lines[:-1])
+
+    def test_peak_row_at_a_unit_z_whose_modulus_rounds_below_one(self):
+        z = np.exp(0.5621553884711781j)
+        assert abs(z) < 1  # by half an ulp
+        value, _, margin = cli.corpus_margin("harmonic", {"omega0": 5.156}, z, 1024,
+                                             "peak_frequency", 23.6267, 2 / np.sqrt(2 * 1024))
+        g = sample(SignalSpec("harmonic", {"omega0": 5.156}), asymptotic_grid(1024))
+        assert value == peak_frequency(frft_forward(g, z))
+        assert margin >= 0
 
     def test_negated_two_pulse_spectrum_fails(self, tmp_path, monkeypatch):
         # equal magnitudes, opposite sign: only a comparison of the values sees it
