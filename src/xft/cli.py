@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fft = sub.add_parser("fft", help="scaled Fourier transform (z = i)")
     add_io_flags(p_fft)
-    p_fft.set_defaults(z_mod=1.0)
 
     p_frft = sub.add_parser("frft", help="fractional transform at z = mod * e^{i arg}")
     add_io_flags(p_frft)

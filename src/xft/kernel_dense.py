@@ -93,20 +93,20 @@ def exact_kernel(n: int, z: complex) -> np.ndarray:
     return (entries + entries.T) / 2.0
 
 
-def outer_exponents(params: TransformParams, scale: complex, t: np.ndarray):
+def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray):
     """(-mu scale^2 t^2, -mu t^2): the exponents of the kernel's two outer chirps.
 
-    Raises CapabilityError naming N, z and the exponent when the left real
-    part passes log(float64 max), before either exponent is built.  No exponent
-    then can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is imaginary
-    at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.  The
-    left real part is (c.real t) t, and t is antisymmetric with its largest |t|
-    at t[0], so where it can pass the bound it peaks at the scalar (c.real t[0]) t[0].
+    t holds the size-n grid's nodes or their first ceil(n/2).  Raises CapabilityError naming n,
+    z and the exponent when the left real part passes log(float64 max), before either exponent
+    is built.  No exponent then can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is
+    imaginary at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.  The left
+    real part is (c.real t) t, and the grid is antisymmetric with its largest |t| at t[0], so
+    where it can pass the bound it peaks at the scalar (c.real t[0]) t[0].
     """
     c = -params.mu * (scale * scale)
     peak = (c.real * t[0]) * t[0]
     if peak > _EXP_MAX:
-        raise CapabilityError(f"chirp at N = {t.size}, z = {params.z:.6g} overflows float64: "
+        raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
     return c * t * t, -params.mu * t * t
 
@@ -125,7 +125,7 @@ def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarra
         raise CapabilityError(f"dense Mehler kernel limited to n <= {MEHLER_LIMIT}")
     grid = asymptotic_grid(n)
     t = grid.nodes
-    left, right = outer_exponents(params, scale, t)
+    left, right = outer_exponents(n, params, scale, t)
     exponent = np.add.outer(left, right) + (scale * params.nu) * np.outer(t, t)
     return (params.prefactor * grid.spacing) * np.exp(exponent)
 

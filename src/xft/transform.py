@@ -63,31 +63,21 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     cached, so only a valid z enters the cache.
 
     The nodes are bitwise antisymmetric, so both exponents are even bit for
-    bit (entry j equals entry n-1-j) and exp of the first ceil(n/2) entries
-    gives every value of the full-grid exp, bit for bit.  The exponents stay
-    full length: outer_exponents is shared with the dense kernel and owns the
-    refusal and its message, and freeing its N-sized temporaries here raises
-    glibc's mmap threshold, so later 2^19 calls reuse freed pages rather than
-    fault in fresh ones.
+    bit (entry j equals entry n-1-j): one exp of both exponents on the first
+    h = ceil(n/2) nodes gives every value of the full-grid exp, bit for bit.
+    front and back are the two rows of one (2, n) buffer, written in one pass.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
-    front_exp, back_exp = outer_exponents(params, params.require_a(), asymptotic_grid(n).nodes)
+    h = (n + 1) // 2
+    e = np.array(outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h]))
+    np.exp(e, out=e)
     s = _base_chirp(n)
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
-    front = _even_chirp(front_exp, s)
-    np.multiply(params.prefactor * c, front, out=front)  # scalar first: front *= K rounds differently
-    return params, front, _even_chirp(back_exp, s)
-
-
-def _even_chirp(exponent: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """e^exponent * s for an exponent even bit for bit, with one exp per mirrored pair."""
-    n = s.size
-    h = (n + 1) // 2
-    e = np.exp(exponent[:h])
-    out = np.empty(n, dtype=np.complex128)
-    np.multiply(e, s[:h], out=out[:h])
-    np.multiply(e[:n - h][::-1], s[h:], out=out[h:])
-    return out
+    chirps = np.empty((2, n), dtype=np.complex128)
+    np.multiply(e, s[:h], out=chirps[:, :h])
+    np.multiply(e[:, :n - h][:, ::-1], s[h:], out=chirps[:, h:])
+    np.multiply(params.prefactor * c, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
+    return params, *chirps
 
 
 def xft_forward(g) -> SpectrumResult:
@@ -191,6 +181,11 @@ def _twiddle(n: int) -> np.ndarray:
     return np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)]  # k1 j2 < n
 
 
+def _warm():  # on the worker before its first task: grows its malloc arena, whose pages later tasks reuse
+    for _ in range(2):  # 4 MiB: the first is mmapped and freeing it raises glibc's thresholds; the second is not
+        np.ones(2**18, dtype=np.complex128)
+
+
 def _on_two_threads(tasks):
     """Run each callable of tasks once, on this thread or on the worker.
 
@@ -212,8 +207,8 @@ def _on_two_threads(tasks):
         pool = _pool.get("worker")
         if pool is None:  # racing callers may each build one; only the stored one gets work and a thread
             from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
-
-            pool = _pool.setdefault("worker", ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-dft"))
+            pool = _pool.setdefault("worker", ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="xft-dft", initializer=_warm))
         future = pool.submit(drain)
     except RuntimeError:  # after shutdown began, or "can't start new thread"
         _pool.clear()
