@@ -93,8 +93,8 @@ def exact_kernel(n: int, z: complex) -> np.ndarray:
     return (entries + entries.T) / 2.0
 
 
-def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray):
-    """(-mu scale^2 t^2, -mu t^2): the exponents of the kernel's two outer chirps.
+def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray) -> np.ndarray:
+    """(-mu scale^2 t^2, -mu t^2), the kernel's two outer chirp exponents, as one (2, len(t)) array.
 
     t holds the size-n grid's nodes or their first ceil(n/2).  Raises CapabilityError naming n,
     z and the exponent when the left real part passes log(float64 max), before either exponent
@@ -108,7 +108,9 @@ def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarr
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
-    return c * t * t, -params.mu * t * t
+    e = np.multiply([[c], [-params.mu]], t)  # then times t in place: no third N-sized array
+    e *= t
+    return e
 
 
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:

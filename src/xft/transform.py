@@ -45,39 +45,45 @@ class SpectrumResult:
         return self.params.a * asymptotic_grid(self.values.size).nodes
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # cached and shared by every caller: no out= may write into it
+    return a
+
+
 @functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
 def _base_chirp(n: int) -> np.ndarray:
     """S_jj = e^{-i pi (n-1) j / n}, the phase reduced mod 2 pi in int64 before
     the exp: rounding the unreduced argument, up to about pi n, costs n ulps."""
-    return np.exp((-1j * np.pi / n) * ((n - 1) * np.arange(n, dtype=np.int64) % (2 * n)))
+    return _frozen(np.exp((-1j * np.pi / n) * ((n - 1) * np.arange(n, dtype=np.int64) % (2 * n))))
 
 
 @functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
 def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     """(params, front, back) for size n and the z with these bits.
 
-    front = prefactor * c * S1 and back = S2, with S1 = e^{-mu a^2 t^2} S,
-    S2 = e^{-mu t^2} S and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), whose
-    phase is reduced mod 2 pi in integers like that of S.  A chirp that
-    would overflow raises CapabilityError before any exp.  Errors are not
-    cached, so only a valid z enters the cache.
+    front = prefactor * c * S1 and back = S2, with S1 = e^{-mu a^2 t^2} S, S2 = e^{-mu t^2} S
+    and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), its phase reduced mod 2 pi in integers like
+    that of S.  A chirp that would overflow raises CapabilityError before any N-sized array;
+    errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S.
 
-    The nodes are bitwise antisymmetric, so both exponents are even bit for
-    bit (entry j equals entry n-1-j): one exp of both exponents on the first
-    h = ceil(n/2) nodes gives every value of the full-grid exp, bit for bit.
-    front and back are the two rows of one (2, n) buffer, written in one pass.
+    Otherwise the nodes' bitwise antisymmetry makes both exponents even bit for bit (entry j
+    equals entry n-1-j): one exp in place of both on the first h = ceil(n/2) nodes gives every
+    value of the full-grid exp.  front and back are then the rows of one (2, n) buffer.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
+    c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
+    if params.mu == 0:  # z = +-i: both exponents are exact zeros, so S1 = S2 = S and no exp
+        s = _base_chirp(n)
+        return params, _frozen(params.prefactor * c * s), s
     h = (n + 1) // 2
-    e = np.array(outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h]))
+    e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h])
     np.exp(e, out=e)
     s = _base_chirp(n)
-    c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
     chirps = np.empty((2, n), dtype=np.complex128)
     np.multiply(e, s[:h], out=chirps[:, :h])
     np.multiply(e[:, :n - h][:, ::-1], s[h:], out=chirps[:, h:])
     np.multiply(params.prefactor * c, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
-    return params, *chirps
+    return params, *_frozen(chirps)
 
 
 def xft_forward(g) -> SpectrumResult:
@@ -104,8 +110,8 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     """Fractional transform at parameter z, evaluated at the abscissae a*t_j.
 
     out = front * D_F * (back * g) with the cached diagonals of _plan,
-    front = sqrt(2/(1-z^2)) * c * S1 and back = S2.  At z = i both chirps
-    collapse to S: xft_forward is that case.
+    front = sqrt(2/(1-z^2)) * c * S1 and back = S2.  At z = +-i both chirps
+    collapse to S, and back is the cached S itself: xft_forward is that case.
 
     For unit z = e^{i phi} other than i, the S1 exponent -mu a^2 t^2 =
     -2i sin(2 phi) k^2 / N (k = j - (N-1)/2) reaches N |sin 2 phi| / 2 rad,
@@ -178,7 +184,7 @@ def _twiddle(n: int) -> np.ndarray:
     mmap and trim thresholds, so later calls reuse the pass's buffers rather than fault them in."""
     n1 = min(n & -n, _N1_MAX)
     s = _base_chirp(n)
-    return np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)]  # k1 j2 < n
+    return _frozen(np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)])  # k1 j2 < n
 
 
 def _warm():  # on the worker before its first task: grows its malloc arena, whose pages later tasks reuse

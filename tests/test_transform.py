@@ -587,8 +587,36 @@ class TestPlan:
             # the invariant the half-grid exp rests on
             assert np.array_equal(fe, fe[::-1]) and np.array_equal(be, be[::-1]), z
             _, got_front, got_back = _plan_of(n, z)
-            assert np.array_equal(got_front, front), z
-            assert np.array_equal(got_back, back), z
+            # bytes, not values: array_equal takes -0.0 for +0.0
+            assert np.array_equal(got_front.view(np.uint64), front.view(np.uint64)), z
+            assert np.array_equal(got_back.view(np.uint64), back.view(np.uint64)), z
+
+    @pytest.mark.parametrize("z,bytes_per_point", [(1j, 16), (-1j, 16), (np.exp(0.7j), 48)])
+    def test_plan_allocates_only_its_chirps(self, z, bytes_per_point):
+        # at z = +-i (mu = 0) only front, one multiply of S, which back is; at any other z the
+        # two half exponents (16N bytes) and the (2, N) chirps (32N), with no exponent temporary
+        n = 2**18
+        s = transform._base_chirp(n)
+        asymptotic_grid(n)
+        tracemalloc.start()
+        try:
+            _, front, back = transform._plan.__wrapped__(n, z.real.hex(), z.imag.hex())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_point * n + 2**20
+        assert np.shares_memory(back, s) == (z in (1j, -1j))
+        assert not np.shares_memory(front, s)
+
+    @pytest.mark.parametrize("n", [16, 2**17])
+    @pytest.mark.parametrize("z", [1j, np.exp(0.7j)])
+    def test_cached_arrays_are_read_only(self, n, z):
+        # the cache shares them with every caller; at z = +-i back is the base chirp itself
+        for a in (*_plan_of(n, z)[1:], transform._base_chirp(n), transform._twiddle(n)):
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(a, 2, out=a)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 # wall time per example varies with machine load; a slow example is no failure
@@ -602,8 +630,8 @@ def test_plan_bitwise_equals_full_grid_exp(n, mod, arg):
     except XftError:  # z near +-1, or a damped chirp that overflows: refused
         assume(False)
     _, got_front, got_back = _plan_of(n, z)
-    assert np.array_equal(got_front, front)
-    assert np.array_equal(got_back, back)
+    assert np.array_equal(got_front.view(np.uint64), front.view(np.uint64))
+    assert np.array_equal(got_back.view(np.uint64), back.view(np.uint64))
 
 
 @settings(deadline=None)
