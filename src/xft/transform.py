@@ -7,8 +7,10 @@ z-dependent chirp diagonals gives the fractional transform for any z in the
 closed unit disk away from 0 and +-1.
 """
 
+import collections
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -17,10 +19,16 @@ from .errors import NonFiniteSignalError
 from .hermite import asymptotic_grid
 from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
 
-# Plans kept per size and per exact bit pattern of z.  The bound covers every
-# (N, z) pair a caller cycling over a few sizes and z keeps hot, while a
-# stream of fresh z cannot grow memory without limit.
-_CHIRP_CACHE_SIZE = 32
+# The chirp cache of _base_chirp, _plan and _twiddle: (name, args) -> (value, its arrays), least
+# recently used first, holding at most _CACHE_BYTES bytes in all and _CACHE_ENTRIES entries per
+# builder.  One (N, z) takes about 64N bytes (S 16N, plan 32N, twiddle 16N), so N <= 2^22 fits.
+# The count keeps a stream of fresh z at small N to 32 plans: with more, each call faulted in more
+# fresh pages.
+_CACHE_BYTES, _CACHE_ENTRIES = 256 * 2**20, 32
+_cache, _cache_lock = collections.OrderedDict(), threading.Lock()
+# _held: id(array) -> the entries holding it; _cache_bytes: the bytes of the held arrays, each
+# counted once (at z = +-i a plan's back is the cached S); _counts: entries per builder
+_held, _cache_bytes, _counts = {}, 0, collections.Counter()
 
 # Even sizes from here up run the DFT as a four-step pass on two threads.
 _SPLIT_MIN = 2**17
@@ -45,45 +53,95 @@ class SpectrumResult:
         return self.params.a * asymptotic_grid(self.values.size).nodes
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # cached and shared by every caller: no out= may write into it
-    return a
+def _cached(build):
+    """build, memoized in the chirp cache (__wrapped__ skips it); it runs unlocked, as builders nest.
+    An entry that would add more than _CACHE_BYTES alone is returned unstored and evicts nothing."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def get(*args):
+        global _cache_bytes
+        key = name, args  # no function object in it: the garbage collector need not track keys
+        with _cache_lock:
+            if key in _cache:
+                _cache.move_to_end(key)
+                return _cache[key][0]
+        value = build(*args)
+        parts = value if isinstance(value, tuple) else (value,)
+        arrays = tuple([a for a in parts if isinstance(a, np.ndarray)])
+        for a in arrays:
+            a.flags.writeable = False  # shared by every caller: no out= may write into it
+        with _cache_lock:
+            if key in _cache:  # of two racing builds, the first stored is kept
+                return _cache[key][0]
+            if (added := _hold(arrays, 1)) > _CACHE_BYTES:
+                _hold(arrays, -1)
+                return value
+            _cache[key], _cache_bytes = (value, arrays), _cache_bytes + added
+            _counts[name] += 1
+            while _counts[name] > _CACHE_ENTRIES or _cache_bytes > _CACHE_BYTES:
+                old = next(k for k in _cache if k[0] == name or _cache_bytes > _CACHE_BYTES)
+                _counts[old[0]] -= 1
+                _cache_bytes -= _hold(_cache.pop(old)[1], -1)
+        return value
+    return get
 
 
-@functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
+def _hold(arrays, step: int) -> int:
+    """Count arrays as held by step (1 or -1) more entries; return the bytes of those this takes
+    from no entry to one, or from one to none."""
+    moved = 0
+    for a in arrays:
+        count = _held.pop(id(a), 0) + step
+        if count:
+            _held[id(a)] = count
+        moved += a.nbytes if count == (step > 0) else 0
+    return moved
+
+
+@_cached
 def _base_chirp(n: int) -> np.ndarray:
     """S_jj = e^{-i pi (n-1) j / n}, the phase reduced mod 2 pi in int64 before
     the exp: rounding the unreduced argument, up to about pi n, costs n ulps."""
-    return _frozen(np.exp((-1j * np.pi / n) * ((n - 1) * np.arange(n, dtype=np.int64) % (2 * n))))
+    return np.exp((-1j * np.pi / n) * ((n - 1) * np.arange(n, dtype=np.int64) % (2 * n)))
 
 
-@functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
+@_cached
 def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     """(params, front, back) for size n and the z with these bits.
 
     front = prefactor * c * S1 and back = S2, with S1 = e^{-mu a^2 t^2} S, S2 = e^{-mu t^2} S
     and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), its phase reduced mod 2 pi in integers like
     that of S.  A chirp that would overflow raises CapabilityError before any N-sized array;
-    errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S.
+    errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S,
+    and for _split_pass front is the scalar prefactor * c, so the plan holds no array of its own.
 
     Otherwise the nodes' bitwise antisymmetry makes both exponents even bit for bit (entry j
-    equals entry n-1-j): one exp in place of both on the first h = ceil(n/2) nodes gives every
-    value of the full-grid exp.  front and back are then the rows of one (2, n) buffer.
+    equals entry n-1-j), but for the sign of an imaginary part that is zero: one exp in place of
+    both on the first h = ceil(n/2) nodes gives every value of the full-grid exp.  That sign can
+    reach the bits only in a product with S that rounds to 0, which needs a real exponent whose
+    real part is below -600; those mirrored entries take the exp of their own nodes' exponents.
+    front and back are then the rows of one (2, n) buffer.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
     if params.mu == 0:  # z = +-i: both exponents are exact zeros, so S1 = S2 = S and no exp
-        s = _base_chirp(n)
-        return params, _frozen(params.prefactor * c * s), s
+        s, kc = _base_chirp(n), params.prefactor * c
+        return params, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s, s
     h = (n + 1) // 2
     e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h])
+    rows = [k for k in (0, 1) if e[k, 0].imag == 0 and e[k, 0].real < -600]  # real, and underflowing
+    m = np.count_nonzero(e[rows, :n - h].real.min(axis=0) < -600) if rows else 0
     np.exp(e, out=e)
     s = _base_chirp(n)
     chirps = np.empty((2, n), dtype=np.complex128)
     np.multiply(e, s[:h], out=chirps[:, :h])
     np.multiply(e[:, :n - h][:, ::-1], s[h:], out=chirps[:, h:])
+    if m:  # the last m, whose products may round to 0, take their own nodes' exp: see above
+        e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[n - m:])
+        np.multiply(np.exp(e, out=e), s[n - m:], out=chirps[:, n - m:])
     np.multiply(params.prefactor * c, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
-    return params, *_frozen(chirps)
+    return params, *chirps
 
 
 def xft_forward(g) -> SpectrumResult:
@@ -112,6 +170,8 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     out = front * D_F * (back * g) with the cached diagonals of _plan,
     front = sqrt(2/(1-z^2)) * c * S1 and back = S2.  At z = +-i both chirps
     collapse to S, and back is the cached S itself: xft_forward is that case.
+    There _split_pass takes front as the scalar sqrt(2/(1-z^2)) * c and forms
+    its product with S itself.
 
     For unit z = e^{i phi} other than i, the S1 exponent -mu a^2 t^2 =
     -2i sin(2 phi) k^2 / N (k = j - (N-1)/2) reaches N |sin 2 phi| / 2 rad,
@@ -151,6 +211,9 @@ def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarra
     columns of a (y, its finite check, the length-n1 DFTs in place, the twiddle);
     the rows' DFTs in place; the output, the transpose of a times front.  No DFT
     needs an N-sized scratch.  The worker calls numpy only, never a traced function.
+    A scalar front (z = +-i, where back is S) times back first fills the task's
+    output slice, which then takes the product: the bits of front = scalar * S,
+    with no N-sized temporary.
     """
     tw = _twiddle(x.size)
     n1, n2 = tw.shape
@@ -169,7 +232,9 @@ def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarra
         np.fft.ifft(a[lo:hi], axis=1, norm="forward", out=a[lo:hi])
 
     def transpose(lo, hi):
-        np.multiply(front.reshape(n2, n1)[lo:hi], a[:, lo:hi].T, out=out.reshape(n2, n1)[lo:hi])
+        o = out.reshape(n2, n1)[lo:hi]
+        f = front.reshape(n2, n1)[lo:hi] if front.ndim else np.multiply(front, back.reshape(n2, n1)[lo:hi], out=o)
+        np.multiply(f, a[:, lo:hi].T, out=o)  # front first: swapped operands round differently
 
     for task, m in ((columns, n2), (rows, n1), (transpose, n2)):
         cuts = [m * k // _CHUNKS for k in range(_CHUNKS + 1)]
@@ -177,14 +242,14 @@ def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarra
     return out
 
 
-@functools.lru_cache(maxsize=_CHIRP_CACHE_SIZE)
+@_cached
 def _twiddle(n: int) -> np.ndarray:
     """W^(k1 j2) on the split pass's (n1, n/n1) grid, W = e^{2 pi i/n}, n even, with no exp:
     W^m = S_2m for m < n/2 and -S_(2m-n) from there.  Freeing the 2n-long source raises glibc's
     mmap and trim thresholds, so later calls reuse the pass's buffers rather than fault them in."""
     n1 = min(n & -n, _N1_MAX)
     s = _base_chirp(n)
-    return _frozen(np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)])  # k1 j2 < n
+    return np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)]  # k1 j2 < n
 
 
 def _warm():  # on the worker before its first task: grows its malloc arena, whose pages later tasks reuse

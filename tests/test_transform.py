@@ -1,5 +1,6 @@
 """Fast chirp-FFT-chirp transforms against dense matrix references."""
 
+import collections
 import concurrent.futures
 import functools
 import math
@@ -201,10 +202,76 @@ class TestFractional:
         second = frft_forward(g, np.exp(0.7j)).values
         assert np.array_equal(first, second)
 
-    def test_chirp_cache_is_bounded(self):
-        for k in range(2 * transform._CHIRP_CACHE_SIZE):
+    def test_chirp_cache_is_bounded_by_bytes(self, monkeypatch):
+        # a 1 MiB budget and fresh z at 4096 points, 128 KiB a plan: the bytes held, each array
+        # once, never pass it, and the z most recently used still hits
+        _empty_cache(monkeypatch, 2**20)
+        for k in range(40):
+            z = np.exp(1j * (0.1 + 0.01 * k))
+            frft_forward(np.ones(4096), z)
+            _assert_counts()
+            assert transform._cache_bytes <= 2**20
+        assert len(transform._cache) < 10
+        assert _plan_of(4096, z) is _plan_of(4096, z)
+        _assert_counts()
+
+    def test_chirp_cache_is_bounded_by_entries(self, monkeypatch):
+        # fresh z at 16 points hold a few KiB in all: the bound on entries per builder binds,
+        # and drops plans only, not the base chirp every call uses
+        _empty_cache(monkeypatch, 2**20)
+        for k in range(2 * transform._CACHE_ENTRIES):
             frft_forward(np.ones(16), np.exp(1j * (0.1 + 0.01 * k)))
-        assert transform._plan.cache_info().currsize == transform._CHIRP_CACHE_SIZE
+        assert transform._counts["_plan"] == transform._CACHE_ENTRIES
+        assert list(transform._cache)[-2] == ("_base_chirp", (16,))
+        _assert_counts()
+
+    def test_chirp_cache_counts_hold_under_racing_threads(self, monkeypatch):
+        # four threads, switched every microsecond, hit, build and evict plans of twelve z under
+        # a budget that holds about seven: a lost update to the counts shows as a mismatch
+        _empty_cache(monkeypatch, 2**18)
+        zs = [np.exp(1j * (0.1 + 0.05 * k)) for k in range(12)]
+        errors = []
+
+        def work(seed):
+            try:
+                for k in np.random.default_rng(seed).integers(0, len(zs), 150):
+                    frft_forward(np.ones(1024), zs[k])
+            except Exception as error:  # reported below, with the thread's counts
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        _assert_counts()
+        assert transform._cache_bytes <= 2**18 and len(transform._cache) > 1
+
+    def test_entry_over_the_budget_is_returned_unstored(self, monkeypatch):
+        # under a 60 KiB budget, S (16 KiB) and the plan (32 KiB) at 1024 points stay; at 8192
+        # points S alone takes 128 KiB: each call builds it and its plan afresh, with the bits
+        # of the cached path, and evicts nothing
+        _empty_cache(monkeypatch, 60 * 2**10)
+        z = np.exp(0.7j)
+        frft_forward(np.ones(1024), z)
+        kept = list(transform._cache.items())
+        _assert_counts()
+        assert transform._cache_bytes == 48 * 2**10
+        g = random_signal(8192, 3)
+        first, second = _plan_of(8192, z), _plan_of(8192, z)
+        assert first is not second and first[2] is not second[2]
+        expected = dft_forward(second[2] * g)
+        expected *= second[1]
+        assert np.array_equal(frft_forward(g, z).values.view(np.uint64), expected.view(np.uint64))
+        assert list(transform._cache.items()) == kept
+        _assert_counts()
+        assert transform._cache_bytes == 48 * 2**10
 
     def test_origin_has_no_transform(self):
         with pytest.raises(AbsentScalingError):
@@ -258,6 +325,29 @@ class TestFractional:
 def _plan_of(n, z):
     z = complex(z)
     return transform._plan(n, z.real.hex(), z.imag.hex())
+
+
+def _empty_cache(monkeypatch, budget):
+    """Give the chirp cache no entries and this byte budget until the test ends."""
+    for name, value in (("_cache", collections.OrderedDict()), ("_held", {}), ("_cache_bytes", 0),
+                        ("_counts", collections.Counter()), ("_CACHE_BYTES", budget)):
+        monkeypatch.setattr(transform, name, value)
+
+
+def _assert_counts():
+    """The cache's counts match its entries: id(array) -> the entries holding it, the bytes of
+    those arrays, each counted once, and the entries per builder."""
+    arrays = [a for v, _ in transform._cache.values() for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert transform._held == collections.Counter(map(id, arrays))
+    assert transform._cache_bytes == sum({id(a): a.nbytes for a in arrays}.values())
+    assert +transform._counts == collections.Counter(name for name, _ in transform._cache)
+
+
+def _scalar_front(n, z):
+    """K c for z = +-i: the factor the split pass multiplies S by to form front = K c S."""
+    c = math.pi * np.exp(1j * math.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
+    return make_params(z).prefactor * c
 
 
 class TestCore:
@@ -329,10 +419,28 @@ class TestSplitPass:
     def test_agrees_with_one_pass_product(self, n, z):
         g = random_signal(n, n)
         _, front, back = _plan_of(n, z)
+        if z in (1j, -1j):  # the plan keeps only K c; back is S
+            front = np.multiply(front, back)
         ref = front * np.fft.ifft(back * g, norm="forward")
         out = frft_forward(g, z).values
         assert any(thread.name.startswith("xft-dft") for thread in threading.enumerate())
         assert np.max(np.abs(out - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2**17, 131074, 2**19, 131080, 131344])
+    def test_scalar_front_gives_the_bytes_of_an_explicit_front(self, n):
+        # at z = +-i the pass forms front = K c S in its output slices; the bytes must be those
+        # of the pass handed that front as an array, and so must xft_inverse's
+        g = random_signal(n, n + 2)
+        s = transform._base_chirp(n)
+        for z in (1j, -1j):
+            _, kc, back = _plan_of(n, z)
+            assert back is s and np.ndim(kc) == 0
+            assert np.array_equal(np.array([kc]).view(np.uint64), np.array([_scalar_front(n, z)]).view(np.uint64))
+            expected = transform._split_pass(g, np.multiply(_scalar_front(n, z), s), s)
+            assert np.array_equal(frft_forward(g, z).values.view(np.uint64), expected.view(np.uint64))
+        expected = transform._split_pass(g[::-1], np.multiply(_scalar_front(n, 1j), s), s)
+        np.multiply(expected, 2 / math.pi ** 2, out=expected)
+        assert np.array_equal(xft_inverse(g).view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2**17, 131074, 2**19, 131080, 131344])
     def test_twiddle_is_gathered_from_the_base_chirp(self, n):
@@ -572,7 +680,8 @@ def _full_grid_plan(n, z):
 
 
 _PLAN_ZS = [1j, -1j, np.exp(0.7j), np.exp(2.9j), np.exp(0.05j), 0.9 * np.exp(1.2j),
-            0.5 * np.exp(1.5j), 0.99 * np.exp(0.9j), 0.7 * np.exp(2.0j), 1e-3 * np.exp(1.0j)]
+            0.5 * np.exp(1.5j), 0.99 * np.exp(0.9j), 0.7 * np.exp(2.0j), 1e-3 * np.exp(1.0j),
+            0.5j]  # 0.5i: mu is real, and from N = 1000 on the edge entries' exp underflows
 
 
 class TestPlan:
@@ -587,14 +696,17 @@ class TestPlan:
             # the invariant the half-grid exp rests on
             assert np.array_equal(fe, fe[::-1]) and np.array_equal(be, be[::-1]), z
             _, got_front, got_back = _plan_of(n, z)
+            if np.ndim(got_front) == 0:  # z = +-i at a split size: front is K c S, formed in the pass
+                got_front = np.multiply(got_front, got_back)
             # bytes, not values: array_equal takes -0.0 for +0.0
             assert np.array_equal(got_front.view(np.uint64), front.view(np.uint64)), z
             assert np.array_equal(got_back.view(np.uint64), back.view(np.uint64)), z
 
-    @pytest.mark.parametrize("z,bytes_per_point", [(1j, 16), (-1j, 16), (np.exp(0.7j), 48)])
+    @pytest.mark.parametrize("z,bytes_per_point", [(1j, 0), (-1j, 0), (np.exp(0.7j), 48)])
     def test_plan_allocates_only_its_chirps(self, z, bytes_per_point):
-        # at z = +-i (mu = 0) only front, one multiply of S, which back is; at any other z the
-        # two half exponents (16N bytes) and the (2, N) chirps (32N), with no exponent temporary
+        # at z = +-i (mu = 0) nothing N-sized: back is S, and at this split size front is the
+        # scalar K c; at any other z the two half exponents (16N bytes) and the (2, N) chirps
+        # (32N), with no exponent temporary
         n = 2**18
         s = transform._base_chirp(n)
         asymptotic_grid(n)
@@ -606,13 +718,17 @@ class TestPlan:
             tracemalloc.stop()
         assert peak <= bytes_per_point * n + 2**20
         assert np.shares_memory(back, s) == (z in (1j, -1j))
-        assert not np.shares_memory(front, s)
+        assert np.ndim(front) == 0 if z in (1j, -1j) else not np.shares_memory(front, s)
 
     @pytest.mark.parametrize("n", [16, 2**17])
     @pytest.mark.parametrize("z", [1j, np.exp(0.7j)])
     def test_cached_arrays_are_read_only(self, n, z):
-        # the cache shares them with every caller; at z = +-i back is the base chirp itself
-        for a in (*_plan_of(n, z)[1:], transform._base_chirp(n), transform._twiddle(n)):
+        # the cache shares them with every caller; at z = +-i back is the base chirp itself,
+        # and at a split size front is a scalar
+        arrays = [a for a in (*_plan_of(n, z)[1:], transform._base_chirp(n), transform._twiddle(n))
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == (3 if (n, z) == (2**17, 1j) else 4)
+        for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 np.multiply(a, 2, out=a)
             with pytest.raises(ValueError, match="read-only"):
