@@ -19,16 +19,14 @@ from .errors import NonFiniteSignalError
 from .hermite import asymptotic_grid
 from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
 
-# The chirp cache of _base_chirp, _plan and _twiddle: (name, args) -> (value, its arrays), least
-# recently used first, holding at most _CACHE_BYTES bytes in all and _CACHE_ENTRIES entries per
-# builder.  One (N, z) takes about 64N bytes (S 16N, plan 32N, twiddle 16N), so N <= 2^22 fits.
-# The count keeps a stream of fresh z at small N to 32 plans: with more, each call faulted in more
-# fresh pages.
+# The chirp cache of _base_chirp, _plan and _twiddle: (name, args) -> (value, size), least recently
+# used first, holding at most _CACHE_BYTES bytes and _CACHE_ENTRIES entries per builder.  size sums
+# the nbytes of the entry's own arrays: a z = +-i plan also counts the S it shares.  One (N, z) counts
+# about 64N bytes (S 16N, plan 32N, twiddle 16N): N <= 2^22 fits.  The count keeps fresh z at small
+# N to 32 plans: with more, each call faulted in more fresh pages.
 _CACHE_BYTES, _CACHE_ENTRIES = 256 * 2**20, 32
 _cache, _cache_lock = collections.OrderedDict(), threading.Lock()
-# _held: id(array) -> the entries holding it; _cache_bytes: the bytes of the held arrays, each
-# counted once (at z = +-i a plan's back is the cached S); _counts: entries per builder
-_held, _cache_bytes, _counts = {}, 0, collections.Counter()
+_cache_bytes, _counts = 0, collections.Counter()  # the sum of the sizes; entries per builder
 
 # Even sizes from here up run the DFT as a four-step pass on two threads.
 _SPLIT_MIN = 2**17
@@ -55,7 +53,7 @@ class SpectrumResult:
 
 def _cached(build):
     """build, memoized in the chirp cache (__wrapped__ skips it); it runs unlocked, as builders nest.
-    An entry that would add more than _CACHE_BYTES alone is returned unstored and evicts nothing."""
+    An entry whose own arrays pass _CACHE_BYTES is returned unstored and evicts nothing."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -67,36 +65,24 @@ def _cached(build):
                 _cache.move_to_end(key)
                 return _cache[key][0]
         value = build(*args)
-        parts = value if isinstance(value, tuple) else (value,)
-        arrays = tuple([a for a in parts if isinstance(a, np.ndarray)])
-        for a in arrays:
-            a.flags.writeable = False  # shared by every caller: no out= may write into it
+        size = 0
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False  # shared by every caller: no out= may write into it
+                size += a.nbytes
         with _cache_lock:
             if key in _cache:  # of two racing builds, the first stored is kept
                 return _cache[key][0]
-            if (added := _hold(arrays, 1)) > _CACHE_BYTES:
-                _hold(arrays, -1)
+            if size > _CACHE_BYTES:
                 return value
-            _cache[key], _cache_bytes = (value, arrays), _cache_bytes + added
+            _cache[key], _cache_bytes = (value, size), _cache_bytes + size
             _counts[name] += 1
             while _counts[name] > _CACHE_ENTRIES or _cache_bytes > _CACHE_BYTES:
                 old = next(k for k in _cache if k[0] == name or _cache_bytes > _CACHE_BYTES)
                 _counts[old[0]] -= 1
-                _cache_bytes -= _hold(_cache.pop(old)[1], -1)
+                _cache_bytes -= _cache.pop(old)[1]
         return value
     return get
-
-
-def _hold(arrays, step: int) -> int:
-    """Count arrays as held by step (1 or -1) more entries; return the bytes of those this takes
-    from no entry to one, or from one to none."""
-    moved = 0
-    for a in arrays:
-        count = _held.pop(id(a), 0) + step
-        if count:
-            _held[id(a)] = count
-        moved += a.nbytes if count == (step > 0) else 0
-    return moved
 
 
 @_cached

@@ -203,16 +203,33 @@ class TestFractional:
         assert np.array_equal(first, second)
 
     def test_chirp_cache_is_bounded_by_bytes(self, monkeypatch):
-        # a 1 MiB budget and fresh z at 4096 points, 128 KiB a plan: the bytes held, each array
-        # once, never pass it, and the z most recently used still hits
+        # a 1 MiB budget and fresh z at 4096 points, 128 KiB a plan, interleaved with z = i and -i,
+        # whose plans share the cached S: the bytes held, each array once, are at most the bytes
+        # counted, which never pass the budget, and the z most recently used still hits
         _empty_cache(monkeypatch, 2**20)
+        shared = False
         for k in range(40):
-            z = np.exp(1j * (0.1 + 0.01 * k))
-            frft_forward(np.ones(4096), z)
-            _assert_counts()
-            assert transform._cache_bytes <= 2**20
-        assert len(transform._cache) < 10
+            for z in (np.exp(1j * (0.1 + 0.01 * k)), (1j, -1j)[k % 2]):
+                frft_forward(np.ones(4096), z)
+                _assert_counts()
+                held = sum({id(a): a.nbytes for v, _ in transform._cache.values() for a in _arrays(v)}.values())
+                assert held <= transform._cache_bytes <= 2**20
+                shared |= held < transform._cache_bytes
+        assert shared and len(transform._cache) < 10
         assert _plan_of(4096, z) is _plan_of(4096, z)
+        _assert_counts()
+
+    @pytest.mark.parametrize("n, z, per_point", [
+        (4096, 1j, 32), (4096, -1j, 32), (4096, np.exp(0.7j), 32),
+        (2**17, 1j, 16), (2**17, -1j, 16), (2**17, np.exp(0.7j), 32)])
+    def test_chirp_cache_counts_every_array_of_an_entry(self, monkeypatch, n, z, per_point):
+        # a plan counts all its arrays, the S a z = +-i plan shares too: at +-i the one pass
+        # caches front and S (32N), the split pass only S (16N, front is a scalar)
+        _empty_cache(monkeypatch, transform._CACHE_BYTES)
+        _plan_of(n, z)
+        z = complex(z)
+        assert transform._cache["_plan", (n, z.real.hex(), z.imag.hex())][1] == per_point * n
+        assert transform._cache["_base_chirp", (n,)][1] == 16 * n
         _assert_counts()
 
     def test_chirp_cache_is_bounded_by_entries(self, monkeypatch):
@@ -329,18 +346,21 @@ def _plan_of(n, z):
 
 def _empty_cache(monkeypatch, budget):
     """Give the chirp cache no entries and this byte budget until the test ends."""
-    for name, value in (("_cache", collections.OrderedDict()), ("_held", {}), ("_cache_bytes", 0),
+    for name, value in (("_cache", collections.OrderedDict()), ("_cache_bytes", 0),
                         ("_counts", collections.Counter()), ("_CACHE_BYTES", budget)):
         monkeypatch.setattr(transform, name, value)
 
 
+def _arrays(value):
+    return [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
+
+
 def _assert_counts():
-    """The cache's counts match its entries: id(array) -> the entries holding it, the bytes of
-    those arrays, each counted once, and the entries per builder."""
-    arrays = [a for v, _ in transform._cache.values() for a in (v if isinstance(v, tuple) else (v,))
-              if isinstance(a, np.ndarray)]
-    assert transform._held == collections.Counter(map(id, arrays))
-    assert transform._cache_bytes == sum({id(a): a.nbytes for a in arrays}.values())
+    """The cache's counts match its entries: each entry's size is the bytes of its own arrays,
+    the bytes counted are the sum of the sizes, and the entries per builder."""
+    for value, size in transform._cache.values():
+        assert size == sum(a.nbytes for a in _arrays(value))
+    assert transform._cache_bytes == sum(size for _, size in transform._cache.values())
     assert +transform._counts == collections.Counter(name for name, _ in transform._cache)
 
 
