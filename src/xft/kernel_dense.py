@@ -99,18 +99,16 @@ def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarr
     t holds the size-n grid's nodes or their first ceil(n/2).  Raises CapabilityError naming n,
     z and the exponent when the left real part passes log(float64 max), before either exponent
     is built.  No exponent then can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is
-    imaginary at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.  The left
-    real part is (c.real t) t, and the grid is antisymmetric with its largest |t| at t[0], so
-    where it can pass the bound it peaks at the scalar (c.real t[0]) t[0].
+    imaginary at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.  Both rows
+    are products with t^2, so even bit for bit.  The left real part is c.real t^2: where it can
+    pass the bound it peaks at c.real t[0]^2 (t[0] has the largest |t|), the bits held at node 0.
     """
     c = -params.mu * (scale * scale)
-    peak = (c.real * t[0]) * t[0]
+    peak = c.real * (t[0] * t[0])
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
-    e = np.multiply([[c], [-params.mu]], t)  # then times t in place: no third N-sized array
-    e *= t
-    return e
+    return np.multiply([[c], [-params.mu]], t * t)
 
 
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:

@@ -102,12 +102,8 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S,
     and for _split_pass front is the scalar prefactor * c, so the plan holds no array of its own.
 
-    Otherwise the nodes' bitwise antisymmetry makes both exponents even bit for bit (entry j
-    equals entry n-1-j), but for the sign of an imaginary part that is zero: one exp in place of
-    both on the first h = ceil(n/2) nodes gives every value of the full-grid exp.  That sign can
-    reach the bits only in a product with S that rounds to 0, which needs a real exponent whose
-    real part is below -600; those mirrored entries take the exp of their own nodes' exponents.
-    front and back are then the rows of one (2, n) buffer.
+    Otherwise both exponents, products with t^2, are even bit for bit: one exp on the first
+    h = ceil(n/2) nodes, mirrored, is the full-grid exp.  front and back are one (2, n) buffer.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
@@ -116,16 +112,11 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
         return params, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s, s
     h = (n + 1) // 2
     e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h])
-    rows = [k for k in (0, 1) if e[k, 0].imag == 0 and e[k, 0].real < -600]  # real, and underflowing
-    m = np.count_nonzero(e[rows, :n - h].real.min(axis=0) < -600) if rows else 0
     np.exp(e, out=e)
     s = _base_chirp(n)
     chirps = np.empty((2, n), dtype=np.complex128)
     np.multiply(e, s[:h], out=chirps[:, :h])
     np.multiply(e[:, :n - h][:, ::-1], s[h:], out=chirps[:, h:])
-    if m:  # the last m, whose products may round to 0, take their own nodes' exp: see above
-        e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[n - m:])
-        np.multiply(np.exp(e, out=e), s[n - m:], out=chirps[:, n - m:])
     np.multiply(params.prefactor * c, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
     return params, *chirps
 

@@ -19,11 +19,13 @@ from xft.errors import (
 )
 from xft.hermite import DENSE_ORACLE_LIMIT, asymptotic_grid, orthonormal_basis
 from xft.kernel_dense import (
+    _EXP_MAX,
     SQRT_2PI,
     apply_kernel,
     asymptotic_kernel,
     exact_kernel,
     make_params,
+    outer_exponents,
 )
 
 
@@ -225,6 +227,40 @@ def test_mehler_entries_bounded_by_prefactor(n, mod, arg):
     slack = 16 * np.finfo(float).eps * grid.nodes[-1] ** 2 / abs(1.0 - z * z) ** 2
     bound = abs(make_params(z).prefactor) * grid.spacing * math.exp(slack)
     assert np.abs(k).max() <= (1.0 + 1e-12) * bound
+
+
+def _exponents(n, z):
+    params = make_params(z)
+    return outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes)
+
+
+class TestOuterExponents:
+    @pytest.mark.parametrize("n", [341, 1000, 1001])
+    @pytest.mark.parametrize("z", [0.5j, 0.9j, -0.7j, 0.75, -0.6, np.exp(0.7j), 0.9 * np.exp(1.2j)])
+    def test_rows_are_even_in_bytes(self, n, z):
+        # on an axis the exponents' imaginary or real parts are zeros, whose signs must not
+        # follow the node's: the plan's half-grid exp takes entry n-1-j from entry j
+        e = _exponents(n, z)
+        assert np.array_equal(e.view(np.uint64), e[:, ::-1].copy().view(np.uint64))
+
+    @pytest.mark.parametrize("z,largest", [(0.9 * np.exp(0.3j), 8104), (0.5 * np.exp(0.1j), 774),
+                                           (0.7 * np.exp(2.9j), 2069), (0.75, 2338), (-0.6, 1176)])
+    def test_refusal_edge_is_the_peak_of_the_exponent(self, z, largest):
+        # the scalar check and the array agree: at the largest accepted N the left real part
+        # peaks at node 0 within the bound, and one point more is refused
+        lo, hi = 1, 2**16  # accepted, refused
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _exponents(mid, z)
+                lo = mid
+            except CapabilityError:
+                hi = mid
+        assert lo == largest
+        left = _exponents(lo, z)[0].real
+        assert left.max() == left[0] <= _EXP_MAX
+        with pytest.raises(CapabilityError, match=f"N = {lo + 1},"):
+            _exponents(lo + 1, z)
 
 
 class TestApplyKernel:

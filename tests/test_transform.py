@@ -701,7 +701,7 @@ def _full_grid_plan(n, z):
 
 _PLAN_ZS = [1j, -1j, np.exp(0.7j), np.exp(2.9j), np.exp(0.05j), 0.9 * np.exp(1.2j),
             0.5 * np.exp(1.5j), 0.99 * np.exp(0.9j), 0.7 * np.exp(2.0j), 1e-3 * np.exp(1.0j),
-            0.5j]  # 0.5i: mu is real, and from N = 1000 on the edge entries' exp underflows
+            0.5j]  # 0.5i: a z on the imaginary axis, where the exponents' imaginary parts are zeros
 
 
 class TestPlan:
@@ -713,8 +713,9 @@ class TestPlan:
     def test_bitwise_equals_full_grid_exp(self, n):
         for z in _PLAN_ZS:
             fe, be, front, back = _full_grid_plan(n, z)
-            # the invariant the half-grid exp rests on
-            assert np.array_equal(fe, fe[::-1]) and np.array_equal(be, be[::-1]), z
+            # the invariant the half-grid exp rests on, in bytes: array_equal takes -0.0 for +0.0
+            assert np.array_equal(fe.view(np.uint64), fe[::-1].copy().view(np.uint64)), z
+            assert np.array_equal(be.view(np.uint64), be[::-1].copy().view(np.uint64)), z
             _, got_front, got_back = _plan_of(n, z)
             if np.ndim(got_front) == 0:  # z = +-i at a split size: front is K c S, formed in the pass
                 got_front = np.multiply(got_front, got_back)
