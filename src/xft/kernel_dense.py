@@ -93,8 +93,9 @@ def exact_kernel(n: int, z: complex) -> np.ndarray:
     return (entries + entries.T) / 2.0
 
 
-def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray) -> np.ndarray:
-    """(-mu scale^2 t^2, -mu t^2), the kernel's two outer chirp exponents, as one (2, len(t)) array.
+def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray, out=None) -> np.ndarray:
+    """(-mu scale^2 t^2, -mu t^2), the kernel's two outer chirp exponents, as one (2, len(t)) array:
+    out, a complex array of that shape, if given (its second row holds t^2 on the way), else a new one.
 
     t holds the size-n grid's nodes or their first ceil(n/2).  Raises CapabilityError naming n,
     z and the exponent when the left real part passes log(float64 max), before either exponent
@@ -108,7 +109,10 @@ def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarr
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
-    return np.multiply([[c], [-params.mu]], t * t)
+    e = np.empty((2, t.size), dtype=np.complex128) if out is None else out
+    np.multiply(c, np.multiply(t, t, out=e[1]), out=e[0])  # the factor first: a*b and b*a round differently
+    np.multiply(-params.mu, e[1], out=e[1])
+    return e
 
 
 def mehler_entries(n: int, params: TransformParams, scale: complex) -> np.ndarray:

@@ -22,8 +22,8 @@ from .kernel_dense import TransformParams, make_params, mehler_entries, outer_ex
 # The chirp cache of _base_chirp, _plan and _twiddle: (name, args) -> (value, size), least recently
 # used first, holding at most _CACHE_BYTES bytes and _CACHE_ENTRIES entries per builder.  size sums
 # the nbytes of the entry's own arrays: a z = +-i plan also counts the S it shares.  One (N, z) counts
-# about 64N bytes (S 16N, plan 32N, twiddle 16N): N <= 2^22 fits.  The count keeps fresh z at small
-# N to 32 plans: with more, each call faulted in more fresh pages.
+# about 64N bytes (S 16N, plan 32N, twiddle 16N): N <= 2^22 fits.  A plan's first request stores its
+# key alone, as (None, 0); the count bounds those keys together with the plans stored.
 _CACHE_BYTES, _CACHE_ENTRIES = 256 * 2**20, 32
 _cache, _cache_lock = collections.OrderedDict(), threading.Lock()
 _cache_bytes, _counts = 0, collections.Counter()  # the sum of the sizes; entries per builder
@@ -51,9 +51,12 @@ class SpectrumResult:
         return self.params.a * asymptotic_grid(self.values.size).nodes
 
 
-def _cached(build):
+def _cached(build, second_miss=False):
     """build, memoized in the chirp cache (__wrapped__ skips it); it runs unlocked, as builders nest.
-    An entry whose own arrays pass _CACHE_BYTES is returned unstored and evicts nothing."""
+    With second_miss, a key's first miss stores the key alone, an entry of 0 bytes that counts
+    toward _CACHE_ENTRIES, and its next miss stores the value: a key requested once keeps no array
+    (the doorkeeper of TinyLFU, Einziger, Friedman & Manes 2017).  An entry whose own arrays pass
+    _CACHE_BYTES is returned unstored, its key too, and evicts nothing."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -61,9 +64,10 @@ def _cached(build):
         global _cache_bytes
         key = name, args  # no function object in it: the garbage collector need not track keys
         with _cache_lock:
-            if key in _cache:
+            value = _cache.get(key, (None,))[0]  # None: a miss, the key unseen or seen once
+            if value is not None:
                 _cache.move_to_end(key)
-                return _cache[key][0]
+                return value
         value = build(*args)
         size = 0
         for a in value if isinstance(value, tuple) else (value,):
@@ -71,12 +75,17 @@ def _cached(build):
                 a.flags.writeable = False  # shared by every caller: no out= may write into it
                 size += a.nbytes
         with _cache_lock:
-            if key in _cache:  # of two racing builds, the first stored is kept
+            seen = key in _cache
+            if seen and _cache[key][0] is not None:  # of two racing builds, the first stored is kept
                 return _cache[key][0]
             if size > _CACHE_BYTES:
                 return value
-            _cache[key], _cache_bytes = (value, size), _cache_bytes + size
-            _counts[name] += 1
+            if seen or not second_miss:
+                _cache[key], _cache_bytes = (value, size), _cache_bytes + size
+                _cache.move_to_end(key)
+            else:
+                _cache[key] = None, 0
+            _counts[name] += not seen
             while _counts[name] > _CACHE_ENTRIES or _cache_bytes > _CACHE_BYTES:
                 old = next(k for k in _cache if k[0] == name or _cache_bytes > _CACHE_BYTES)
                 _counts[old[0]] -= 1
@@ -92,7 +101,7 @@ def _base_chirp(n: int) -> np.ndarray:
     return np.exp((-1j * np.pi / n) * ((n - 1) * np.arange(n, dtype=np.int64) % (2 * n)))
 
 
-@_cached
+@functools.partial(_cached, second_miss=True)  # a fresh z would leave a plan no later call reads
 def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     """(params, front, back) for size n and the z with these bits.
 
@@ -103,20 +112,23 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     and for _split_pass front is the scalar prefactor * c, so the plan holds no array of its own.
 
     Otherwise both exponents, products with t^2, are even bit for bit: one exp on the first
-    h = ceil(n/2) nodes, mirrored, is the full-grid exp.  front and back are one (2, n) buffer.
+    h = ceil(n/2) nodes, mirrored, is the full-grid exp.  front and back are one (2, n) buffer,
+    whose first half takes the exponents and their exp: a build holds it and h nodes, no more.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
     if params.mu == 0:  # z = +-i: both exponents are exact zeros, so S1 = S2 = S and no exp
         s, kc = _base_chirp(n), params.prefactor * c
         return params, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s, s
-    h = (n + 1) // 2
-    e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h])
-    np.exp(e, out=e)
-    s = _base_chirp(n)
+    h, a, t = (n + 1) // 2, params.require_a(), asymptotic_grid(n).nodes
+    outer_exponents(n, params, a, t[:1])  # the overflow refusal, before any array of the plan
+    t, s = t[:h].copy(), _base_chirp(n)  # the copy frees the n-node grid before the (2, n) buffer
     chirps = np.empty((2, n), dtype=np.complex128)
-    np.multiply(e, s[:h], out=chirps[:, :h])
-    np.multiply(e[:, :n - h][:, ::-1], s[h:], out=chirps[:, h:])
+    e = outer_exponents(n, params, a, t, out=chirps[:, :h])
+    np.exp(e, out=e)
+    for row in chirps:  # row by row: one (2, n - h) call within this buffer rounds back[2] differently at n = 3
+        np.multiply(row[:n - h][::-1], s[h:], out=row[h:])
+    np.multiply(e, s[:h], out=e)
     np.multiply(params.prefactor * c, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
     return params, *chirps
 
@@ -229,9 +241,12 @@ def _twiddle(n: int) -> np.ndarray:
     return np.concatenate((s, -s))[2 * np.arange(n1)[:, None] * np.arange(n // n1)]  # k1 j2 < n
 
 
-def _warm():  # on the worker before its first task: grows its malloc arena, whose pages later tasks reuse
+def _warm():  # on import and on the worker before its first task: grows the thread's malloc arena
     for _ in range(2):  # 4 MiB: the first is mmapped and freeing it raises glibc's thresholds; the second is not
         np.ones(2**18, dtype=np.complex128)
+
+
+_warm()  # later calls' buffers, and the plans fresh z build and drop, up to 4 MiB reuse its pages, not fresh ones
 
 
 def _on_two_threads(tasks):

@@ -626,7 +626,8 @@ class TestCorpusAndBench:
         assert payload["nproc"] >= 1
 
     def test_bench_warms_every_op_before_timing_any(self, tmp_path, monkeypatch):
-        # the first op timed at a size would otherwise be the only one to meet fresh memory
+        # the first op timed at a size would otherwise be the only one to meet fresh memory; each
+        # runs twice, since a plan is stored on its second request
         events = []
 
         def recording(name, fn):
@@ -645,7 +646,7 @@ class TestCorpusAndBench:
         status, _ = run_to_file(tmp_path, ["bench", "--min-exp", "6", "--max-exp", "7"])
         assert status == 0
         warm = ["xft_forward", "frft_forward", "xft_forward", "xft_inverse", "plan"]
-        assert events == (warm + ["timed"] * 4) * 2
+        assert events == (warm * 2 + ["timed"] * 4) * 2
 
     def test_bench_output_bytes(self, tmp_path, monkeypatch):
         # fixed timings pin the table bytes; each time is the best of --repeats

@@ -205,12 +205,14 @@ class TestFractional:
     def test_chirp_cache_is_bounded_by_bytes(self, monkeypatch):
         # a 1 MiB budget and fresh z at 4096 points, 128 KiB a plan, interleaved with z = i and -i,
         # whose plans share the cached S: the bytes held, each array once, are at most the bytes
-        # counted, which never pass the budget, and the z most recently used still hits
+        # counted, which never pass the budget, and the z most recently used still hits; each z
+        # is requested twice, since a plan is stored on its second request
         _empty_cache(monkeypatch, 2**20)
         shared = False
         for k in range(40):
             for z in (np.exp(1j * (0.1 + 0.01 * k)), (1j, -1j)[k % 2]):
-                frft_forward(np.ones(4096), z)
+                for _ in range(2):
+                    frft_forward(np.ones(4096), z)
                 _assert_counts()
                 held = sum({id(a): a.nbytes for v, _ in transform._cache.values() for a in _arrays(v)}.values())
                 assert held <= transform._cache_bytes <= 2**20
@@ -224,8 +226,10 @@ class TestFractional:
         (2**17, 1j, 16), (2**17, -1j, 16), (2**17, np.exp(0.7j), 32)])
     def test_chirp_cache_counts_every_array_of_an_entry(self, monkeypatch, n, z, per_point):
         # a plan counts all its arrays, the S a z = +-i plan shares too: at +-i the one pass
-        # caches front and S (32N), the split pass only S (16N, front is a scalar)
+        # caches front and S (32N), the split pass only S (16N, front is a scalar); the second
+        # request stores the plan
         _empty_cache(monkeypatch, transform._CACHE_BYTES)
+        _plan_of(n, z)
         _plan_of(n, z)
         z = complex(z)
         assert transform._cache["_plan", (n, z.real.hex(), z.imag.hex())][1] == per_point * n
@@ -273,9 +277,10 @@ class TestFractional:
     def test_entry_over_the_budget_is_returned_unstored(self, monkeypatch):
         # under a 60 KiB budget, S (16 KiB) and the plan (32 KiB) at 1024 points stay; at 8192
         # points S alone takes 128 KiB: each call builds it and its plan afresh, with the bits
-        # of the cached path, and evicts nothing
+        # of the cached path, and evicts nothing.  The plan at 1024 points is stored on its second call
         _empty_cache(monkeypatch, 60 * 2**10)
         z = np.exp(0.7j)
+        frft_forward(np.ones(1024), z)
         frft_forward(np.ones(1024), z)
         kept = list(transform._cache.items())
         _assert_counts()
@@ -289,6 +294,39 @@ class TestFractional:
         assert list(transform._cache.items()) == kept
         _assert_counts()
         assert transform._cache_bytes == 48 * 2**10
+
+    def test_fresh_z_stream_stores_no_plan_array(self, monkeypatch):
+        # each z is requested once: its plan is built, returned and dropped, and the cache keeps
+        # only its key, an entry of 0 bytes, besides the base chirp every z at this N shares
+        _empty_cache(monkeypatch, transform._CACHE_BYTES)
+        for k in range(40):
+            frft_forward(np.ones(4096), 0.9 * np.exp(1j * (1.0 + 0.01 * k)))
+        plans = [value for (name, _), value in transform._cache.items() if name == "_plan"]
+        assert len(plans) == transform._CACHE_ENTRIES and set(plans) == {(None, 0)}
+        assert transform._cache_bytes == 16 * 4096
+        _assert_counts()
+
+    def test_plan_is_stored_on_its_second_request(self, monkeypatch):
+        # the first request remembers the key, the second stores the plan it builds, and the
+        # third returns that very plan
+        _empty_cache(monkeypatch, transform._CACHE_BYTES)
+        z = complex(np.exp(0.7j))
+        key = "_plan", (4096, z.real.hex(), z.imag.hex())
+        first = _plan_of(4096, z)
+        assert transform._cache[key] == (None, 0)
+        second = _plan_of(4096, z)
+        assert second is not first and transform._cache[key] == (second, 32 * 4096)
+        assert _plan_of(4096, z) is second
+        _assert_counts()
+
+    def test_oversize_plan_stores_neither_key_nor_value(self, monkeypatch):
+        # under a 200 KiB budget the base chirp at 8192 points (128 KiB) is stored, and the plan
+        # (256 KiB) is built afresh on every request, with no key left behind to count
+        _empty_cache(monkeypatch, 200 * 2**10)
+        for _ in range(3):
+            _plan_of(8192, np.exp(0.7j))
+            assert list(transform._cache) == [("_base_chirp", (8192,))]
+        _assert_counts()
 
     def test_origin_has_no_transform(self):
         with pytest.raises(AbsentScalingError):
@@ -415,6 +453,25 @@ class TestCore:
             frft_forward(bad, np.exp(0.7j))
         with pytest.raises(error):
             xft_inverse(bad)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's fresh pages through ru_minflt")
+    @pytest.mark.parametrize("z", ["1j", "np.exp(0.7j)"])
+    def test_hot_one_pass_call_touches_no_fresh_pages(self, z):
+        # at 2^16 the buffer and pocketfft's scratch (about 1.9 MiB) came from fresh mmaps, 480
+        # pages on every call; the arena grown on import now serves them, and at e^{0.7i} the plan
+        # a call builds and drops: the second call builds it again and stores it
+        code = (
+            "import resource, numpy as np, xft\n"
+            "g = np.ones(2**16, dtype=complex)\n"
+            f"xft.frft_forward(g, {z})\n"
+            "for _ in range(5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"    xft.frft_forward(g, {z})\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 5 and max(faults) < 64, faults
 
     def test_abscissae_computed_once(self):
         result = frft_forward(np.ones(16), 0.8 * np.exp(1.0j))
@@ -723,11 +780,12 @@ class TestPlan:
             assert np.array_equal(got_front.view(np.uint64), front.view(np.uint64)), z
             assert np.array_equal(got_back.view(np.uint64), back.view(np.uint64)), z
 
-    @pytest.mark.parametrize("z,bytes_per_point", [(1j, 0), (-1j, 0), (np.exp(0.7j), 48)])
+    @pytest.mark.parametrize("z,bytes_per_point", [(1j, 0), (-1j, 0), (np.exp(0.7j), 36)])
     def test_plan_allocates_only_its_chirps(self, z, bytes_per_point):
         # at z = +-i (mu = 0) nothing N-sized: back is S, and at this split size front is the
-        # scalar K c; at any other z the two half exponents (16N bytes) and the (2, N) chirps
-        # (32N), with no exponent temporary
+        # scalar K c; at any other z the (2, N) chirps (32N bytes), which also take the two half
+        # exponents, and the first ceil(N/2) nodes (4N), copied out of the N-node grid (8N),
+        # which is freed before the chirps are allocated
         n = 2**18
         s = transform._base_chirp(n)
         asymptotic_grid(n)
