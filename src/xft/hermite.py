@@ -55,16 +55,16 @@ def _size(n, least: int, what: str) -> int:
     return operator.index(n)
 
 
-def asymptotic_grid(n: int) -> Grid:
-    """Return the n uniformly spaced asymptotic Hermite zeros.
+def leading_nodes(n: int, m: int) -> np.ndarray:
+    """The first m of the n asymptotic nodes pi (k - (n-1)/2) / sqrt(2n), building only those m:
+    k - (n-1)/2 is an integer or half-integer, exact, so the n nodes are antisymmetric bit for bit."""
+    return np.pi / np.sqrt(2 * n) * (np.arange(m) - (n - 1) / 2)
 
-    The symmetric index k - (n-1)/2 is exactly representable (integer or
-    half-integer), so negation symmetry of the nodes is exact.
-    """
+
+def asymptotic_grid(n: int) -> Grid:
+    """Return the n uniformly spaced asymptotic Hermite zeros: leading_nodes(n, n)."""
     n = _size(n, 1, "grid size")
-    spacing = np.pi / np.sqrt(2 * n)
-    k_sym = np.arange(n) - (n - 1) / 2
-    return Grid(n=n, nodes=spacing * k_sym, spacing=spacing)
+    return Grid(n=n, nodes=leading_nodes(n, n), spacing=np.pi / np.sqrt(2 * n))
 
 
 def _hermite_rows(k_max: int, w):

@@ -93,25 +93,25 @@ def exact_kernel(n: int, z: complex) -> np.ndarray:
     return (entries + entries.T) / 2.0
 
 
-def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray, out=None) -> np.ndarray:
-    """(-mu scale^2 t^2, -mu t^2), the kernel's two outer chirp exponents, as one (2, len(t)) array:
-    out, a complex array of that shape, if given (its second row holds t^2 on the way), else a new one.
+def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarray) -> np.ndarray:
+    """(-mu scale^2 t^2, -mu t^2), the kernel's two outer chirp exponents, in the first len(t) columns
+    of a new (2, n) complex array, the rest unwritten: t is the first len(t) nodes of the size-n grid.
 
-    t holds the size-n grid's nodes or their first ceil(n/2).  Raises CapabilityError naming n,
-    z and the exponent when the left real part passes log(float64 max), before either exponent
-    is built.  No exponent then can: Re mu >= 0 on the disk, a nu t_j t_k = (4i/pi) t_j t_k is
-    imaginary at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z))) >= 0.  Both rows
-    are products with t^2, so even bit for bit.  The left real part is c.real t^2: where it can
-    pass the bound it peaks at c.real t[0]^2 (t[0] has the largest |t|), the bits held at node 0.
+    Raises CapabilityError naming n, z and the exponent when the left real part passes log(float64
+    max), before the array is allocated.  No exponent then can: Re mu >= 0 on the disk, a nu t_j t_k
+    = (4i/pi) t_j t_k is imaginary at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z)))
+    >= 0.  Both rows are products with t^2, so even bit for bit.  The left real part is c.real t^2:
+    where it can pass the bound it peaks at c.real t[0]^2 (t[0] has the largest |t|), node 0's bits.
     """
     c = -params.mu * (scale * scale)
     peak = c.real * (t[0] * t[0])
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
-    e = np.empty((2, t.size), dtype=np.complex128) if out is None else out
-    np.multiply(c, np.multiply(t, t, out=e[1]), out=e[0])  # the factor first: a*b and b*a round differently
-    np.multiply(-params.mu, e[1], out=e[1])
+    e = np.empty((2, n), dtype=np.complex128)
+    left, right = e[:, :t.size]
+    np.multiply(c, np.multiply(t, t, out=right), out=left)  # the factor first: a*b and b*a round differently
+    np.multiply(-params.mu, right, out=right)
     return e
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dft_engine import as_complex_signal, as_complex_vector, dft_forward
 from .errors import NonFiniteSignalError
-from .hermite import asymptotic_grid
+from .hermite import asymptotic_grid, leading_nodes
 from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
 
 # The chirp cache of _base_chirp, _plan and _twiddle: (name, args) -> (value, size), least recently
@@ -107,24 +107,23 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
 
     front = prefactor * c * S1 and back = S2, with S1 = e^{-mu a^2 t^2} S, S2 = e^{-mu t^2} S
     and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), its phase reduced mod 2 pi in integers like
-    that of S.  A chirp that would overflow raises CapabilityError before any N-sized array;
+    that of S.  A chirp that would overflow raises CapabilityError before its array or S is built;
     errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S,
     and for _split_pass front is the scalar prefactor * c, so the plan holds no array of its own.
 
     Otherwise both exponents, products with t^2, are even bit for bit: one exp on the first
-    h = ceil(n/2) nodes, mirrored, is the full-grid exp.  front and back are one (2, n) buffer,
-    whose first half takes the exponents and their exp: a build holds it and h nodes, no more.
+    h = ceil(n/2) nodes, mirrored, is the full-grid exp.  One outer_exponents call on those h
+    nodes refuses or returns the (2, n) array that becomes front and back, its first h columns
+    holding the exponents, then their exp: a build holds that array and the h nodes, no more.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
     c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
     if params.mu == 0:  # z = +-i: both exponents are exact zeros, so S1 = S2 = S and no exp
         s, kc = _base_chirp(n), params.prefactor * c
         return params, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s, s
-    h, a, t = (n + 1) // 2, params.require_a(), asymptotic_grid(n).nodes
-    outer_exponents(n, params, a, t[:1])  # the overflow refusal, before any array of the plan
-    t, s = t[:h].copy(), _base_chirp(n)  # the copy frees the n-node grid before the (2, n) buffer
-    chirps = np.empty((2, n), dtype=np.complex128)
-    e = outer_exponents(n, params, a, t, out=chirps[:, :h])
+    h = (n + 1) // 2
+    chirps = outer_exponents(n, params, params.require_a(), leading_nodes(n, h))  # refused before S
+    e, s = chirps[:, :h], _base_chirp(n)
     np.exp(e, out=e)
     for row in chirps:  # row by row: one (2, n - h) call within this buffer rounds back[2] differently at n = 3
         np.multiply(row[:n - h][::-1], s[h:], out=row[h:])
@@ -168,8 +167,8 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     rounding: a one-ulp change of z moves the phase about as much.
 
     For damped z with arg z outside about (pi/4, 3pi/4), the chirp exponents'
-    real parts grow like N; once one passes log(float64 max) ~ 709.78 this
-    raises CapabilityError naming N, z and the exponent, before any exp.
+    real parts grow like N; past log(float64 max) ~ 709.78 the plan's one
+    outer_exponents call raises CapabilityError naming N, z and the exponent.
 
     For N < 2^17 or odd N: one pass over one buffer the call owns, y = back * g,
     the DFT in place in y, then y *= front; g is never written.  g is checked

@@ -243,6 +243,16 @@ class TestOuterExponents:
         e = _exponents(n, z)
         assert np.array_equal(e.view(np.uint64), e[:, ::-1].copy().view(np.uint64))
 
+    @pytest.mark.parametrize("n", [341, 1000, 1001])
+    @pytest.mark.parametrize("z", [0.5j, 0.9j, -0.7j, 0.75, -0.6, np.exp(0.7j), 0.9 * np.exp(1.2j)])
+    def test_leading_nodes_fill_the_leading_columns(self, n, z):
+        # the plan's call: on the first ceil(n/2) nodes the array is still (2, n), and its
+        # first ceil(n/2) columns are those of the call on all n nodes, in bytes
+        h, params = (n + 1) // 2, make_params(z)
+        e = outer_exponents(n, params, params.require_a(), asymptotic_grid(n).nodes[:h])
+        assert e.shape == (2, n)
+        assert np.array_equal(e[:, :h].view(np.uint64), _exponents(n, z)[:, :h].view(np.uint64))
+
     @pytest.mark.parametrize("z,largest", [(0.9 * np.exp(0.3j), 8104), (0.5 * np.exp(0.1j), 774),
                                            (0.7 * np.exp(2.9j), 2069), (0.75, 2338), (-0.6, 1176)])
     def test_refusal_edge_is_the_peak_of_the_exponent(self, z, largest):
