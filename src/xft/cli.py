@@ -22,14 +22,13 @@ from .hermite import asymptotic_grid
 from .kernel_dense import SQRT_2PI
 from .metrics import leakage_mean, max_norm_error, peak_frequency
 from .signals import CORPUS_NAMES, SignalSpec, reference_transform, sample
-from .transform import _plan, frft_forward, xft_forward, xft_inverse
+from .transform import _UNIT_TOL, _plan, frft_forward, xft_forward, xft_inverse
 
 _FMT = "%.17g"
 _BLOCK = 4096  # rows per text block: a run computes everything, then formats a block at a time
 
 # Output scales: paper is the transforms' own, namias divides by sqrt(2pi).
 CONVENTIONS = ("paper", "namias")
-_UNIT_TOL = 2 * np.finfo(float).eps  # |z| = 1 to within this: |1.0 * e^{i arg}| is within an ulp of 1
 
 
 def load_signal(path: str) -> np.ndarray:
@@ -234,19 +233,22 @@ def _formatted(parts: list, fork: bool):
 
 
 def _bench_run(args: argparse.Namespace):
-    """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, the xft round trip,
-    and the chirp build of a cache miss at that z (_plan's __wrapped__ skips the cache).
-    All four run twice to warm caches before any is timed (a plan is stored on its second
+    """Per N = 2^k: xft_forward, frft_forward at z = e^{0.7i}, the xft round trip, the chirp
+    build of a cache miss at that z (_plan's __wrapped__ skips the cache), and frft_forward at
+    the damped z = 0.5e^{0.1i}, which it rotates: two passes, each with its DFT.
+    All five run twice to warm caches before any is timed (a plan is stored on its second
     request), so each is timed in the same memory state; each time is the best of --repeats, GC on."""
     rng = np.random.default_rng(0)
-    z = np.exp(0.7j)
+    z, damped = np.exp(0.7j), 0.5 * np.exp(0.1j)
     z_key = (z.real.hex(), z.imag.hex())
-    cols = {key: [] for key in ("n", "seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds")}
+    cols = {key: [] for key in ("n", "seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds",
+                                "damped_seconds")}
     for p in range(args.min_exp, args.max_exp + 1):
         n = 2 ** p
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ops = (lambda: xft_forward(g), lambda: frft_forward(g, z),
-               lambda: xft_inverse(xft_forward(g).values), lambda: _plan.__wrapped__(n, *z_key))
+               lambda: xft_inverse(xft_forward(g).values), lambda: _plan.__wrapped__(n, *z_key),
+               lambda: frft_forward(g, damped))
         cols["n"].append(n)
         for op in 2 * ops:
             op()

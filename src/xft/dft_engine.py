@@ -29,7 +29,7 @@ def as_complex_signal(v) -> np.ndarray:
     NonFiniteSignalError if any sample is NaN or Inf.
     """
     out = as_complex_vector(v)
-    if not np.all(np.isfinite(out.view(np.float64))):
+    if not np.isfinite(out.view(np.float64)).all():
         raise NonFiniteSignalError("signal contains NaN or Inf samples")
     return out
 

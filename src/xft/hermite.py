@@ -12,6 +12,7 @@ uniform grid t_k = pi*(k - (n-1)/2)/sqrt(2n), which is the working grid of the
 fast transform path.
 """
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -57,8 +58,12 @@ def _size(n, least: int, what: str) -> int:
 
 def leading_nodes(n: int, m: int) -> np.ndarray:
     """The first m of the n asymptotic nodes pi (k - (n-1)/2) / sqrt(2n), building only those m:
-    k - (n-1)/2 is an integer or half-integer, exact, so the n nodes are antisymmetric bit for bit."""
-    return np.pi / np.sqrt(2 * n) * (np.arange(m) - (n - 1) / 2)
+    k - (n-1)/2 is an integer or half-integer, exact, so the n nodes are antisymmetric bit for bit.
+    In place, on one array: the bits of the expression, with no temporary."""
+    nodes = np.arange(m, dtype=np.float64)
+    nodes -= (n - 1) / 2
+    nodes *= math.pi / math.sqrt(2 * n)
+    return nodes
 
 
 def asymptotic_grid(n: int) -> Grid:

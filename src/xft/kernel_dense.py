@@ -109,7 +109,7 @@ def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarr
         raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")
     e = np.empty((2, n), dtype=np.complex128)
-    left, right = e[:, :t.size]
+    left, right = e[0, :t.size], e[1, :t.size]
     np.multiply(c, np.multiply(t, t, out=right), out=left)  # the factor first: a*b and b*a round differently
     np.multiply(-params.mu, right, out=right)
     return e

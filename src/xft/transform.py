@@ -4,11 +4,14 @@ The dense scaled-Fourier matrix factors as diagonal * DFT * diagonal, so one
 length-N DFT plus two diagonal multiplies evaluates the quadrature transform
 at the scaled abscissae a*t_j in O(N log N).  The same factorization with
 z-dependent chirp diagonals gives the fractional transform for any z in the
-closed unit disk away from 0 and +-1.
+closed unit disk away from 0 and +-1: a damped z whose chirps would grow
+is first rotated by a fixed z2, F_z = F_{z/z2} F_{z2} / sqrt(2 pi): two such passes.
 """
 
+import cmath
 import collections
 import functools
+import math
 import os
 import threading
 
@@ -17,13 +20,26 @@ import numpy as np
 from .dft_engine import as_complex_signal, as_complex_vector, dft_forward
 from .errors import NonFiniteSignalError
 from .hermite import asymptotic_grid, leading_nodes
-from .kernel_dense import TransformParams, make_params, mehler_entries, outer_exponents
+from .kernel_dense import SQRT_2PI, TransformParams, make_params, mehler_entries, outer_exponents
 
-# The chirp cache of _base_chirp, _plan and _twiddle: (name, args) -> (value, size), least recently
-# used first, holding at most _CACHE_BYTES bytes and _CACHE_ENTRIES entries per builder.  size sums
-# the nbytes of the entry's own arrays: a z = +-i plan also counts the S it shares.  One (N, z) counts
-# about 64N bytes (S 16N, plan 32N, twiddle 16N): N <= 2^22 fits.  A plan's first request stores its
-# key alone, as (None, 0); the count bounds those keys together with the plans stored.
+# |z| = 1 to within this: |1.0 * e^{i arg}| is within an ulp of 1, and such a z keeps the one-pass form
+_UNIT_TOL = 2 * np.finfo(float).eps
+
+# A damped z with Re(z^2) > 0 runs as F_z = F_w F_z2 / sqrt(2 pi), w = z / z2 (index additivity; the
+# order reduction of Ozaktas, Arikan, Kutay & Bozdagi 1996).  z2 = e^{i phi}, sin phi = pi/4, has
+# a(z2) = 4 sin(phi) / pi = 1: its output lies on the input grid, so nothing is resampled.  Keyed by the
+# sign of Im(z^2): e^{i(pi - phi0)} for +1 and e^{i phi0} for -1 (phi0 = arcsin(pi/4)) put arg w within
+# pi/2 - phi0 (0.67 rad) of pi/2 mod pi, inside the sector Re(w^2) <= 0 where both of F_w's chirps decay.
+# -z2, at a = -1, would do as well: its pass gives the same array, read on the reversed grid.
+_COS0 = math.sqrt(1 - math.pi ** 2 / 16)  # cos(phi0)
+_Z2 = {1: complex(-_COS0, math.pi / 4), -1: complex(_COS0, math.pi / 4)}
+
+# The chirp cache of _base_chirp, _plan, _stage_one, _rotated_plan and _twiddle: (name, args) ->
+# (value, size), least recently used first, holding at most _CACHE_BYTES bytes and _CACHE_ENTRIES
+# entries per builder.  size sums the nbytes of the entry's own arrays: a z = +-i plan also counts
+# the S it shares, a rotated plan the first pass's chirp.  One (N, z) counts about 64N bytes (S 16N,
+# plan 32N, twiddle 16N): N <= 2^22 fits.  A plan's first request stores its key alone, as
+# (None, 0); the count bounds those keys together with the plans stored.
 _CACHE_BYTES, _CACHE_ENTRIES = 256 * 2**20, 32
 _cache, _cache_lock = collections.OrderedDict(), threading.Lock()
 _cache_bytes, _counts = 0, collections.Counter()  # the sum of the sizes; entries per builder
@@ -40,15 +56,17 @@ _pool = {}
 
 
 class SpectrumResult:
-    """Transform samples plus the abscissae a*t_j they approximate."""
+    """Transform samples, the parameters of the z asked for, and the output scale: the samples
+    approximate the transform at the abscissae scale*t_j.  scale is params.a, or a(z/z2) for a z
+    that frft_forward rotates by z2."""
 
-    def __init__(self, values: np.ndarray, params: TransformParams):
-        self.values, self.params = values, params
+    def __init__(self, values: np.ndarray, params: TransformParams, scale: complex):
+        self.values, self.params, self.scale = values, params, scale
 
     @functools.cached_property
     def abscissae(self) -> np.ndarray:
-        """a*t_j, computed on first read: most callers only need the values."""
-        return self.params.a * asymptotic_grid(self.values.size).nodes
+        """scale*t_j, computed on first read: most callers only need the values."""
+        return self.scale * asymptotic_grid(self.values.size).nodes
 
 
 def _cached(build, second_miss=False):
@@ -110,17 +128,29 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     that of S.  A chirp that would overflow raises CapabilityError before its array or S is built;
     errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S,
     and for _split_pass front is the scalar prefactor * c, so the plan holds no array of its own.
-
-    Otherwise both exponents, products with t^2, are even bit for bit: one exp on the first
-    h = ceil(n/2) nodes, mirrored, is the full-grid exp.  One outer_exponents call on those h
-    nodes refuses or returns the (2, n) array that becomes front and back, its first h columns
-    holding the exponents, then their exp: a build holds that array and the h nodes, no more.
+    Otherwise _chirps builds front and back.
     """
     params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
-    c = np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
     if params.mu == 0:  # z = +-i: both exponents are exact zeros, so S1 = S2 = S and no exp
-        s, kc = _base_chirp(n), params.prefactor * c
+        s, kc = _base_chirp(n), params.prefactor * _c(n)
         return params, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s, s
+    return params, *_chirps(n, params, params.prefactor * _c(n))
+
+
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)  # one scalar per n: its numpy scalar calls cost a fresh z 2 us
+def _c(n: int) -> np.complex128:
+    """c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n)."""
+    return np.pi * np.exp(1j * np.pi * ((n - 1) ** 2 % (4 * n)) / (2 * n)) / np.sqrt(2 * n)
+
+
+def _chirps(n: int, params: TransformParams, k: complex) -> np.ndarray:
+    """The (2, n) array of k * S1 and S2 for params, or CapabilityError before S is built.
+
+    Both exponents, products with t^2, are even bit for bit: one exp on the first h = ceil(n/2)
+    nodes, mirrored, is the full-grid exp.  One outer_exponents call on those h nodes refuses or
+    returns the (2, n) array, its first h columns holding the exponents, then their exp: a build
+    holds that array and the h nodes, no more.
+    """
     h = (n + 1) // 2
     chirps = outer_exponents(n, params, params.require_a(), leading_nodes(n, h))  # refused before S
     e, s = chirps[:, :h], _base_chirp(n)
@@ -128,8 +158,48 @@ def _plan(n: int, z_real_hex: str, z_imag_hex: str):
     for row in chirps:  # row by row: one (2, n - h) call within this buffer rounds back[2] differently at n = 3
         np.multiply(row[:n - h][::-1], s[h:], out=row[h:])
     np.multiply(e, s[:h], out=e)
-    np.multiply(params.prefactor * c, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
-    return params, *chirps
+    np.multiply(k, chirps[0], out=chirps[0])  # scalar first: front *= K rounds differently
+    return chirps
+
+
+@_cached
+def _stage_one(n: int, sign: int) -> np.ndarray:
+    """e^{-mu2 t^2} S for z2 = _Z2[sign], a pure phase: mu2 = (i/2) cot(arg z2) = -sign 2i cos(phi0) / pi.
+    A rotated z's first pass takes it as its back chirp; its front, prefactor(z2) c times this
+    chirp at a(z2) = 1, folds into the second pass's chirps.  Every z of one sign shares it."""
+    t = leading_nodes(n, n)
+    return np.exp((sign * 2j * _COS0 / np.pi) * (t * t)) * _base_chirp(n)
+
+
+def _rotation(z: complex) -> int:
+    """0 where frft_forward runs z in one pass, else the key of the z2 in _Z2 that it rotates z by:
+    a damped z (||z| - 1| > _UNIT_TOL) with Re(z^2) > 0 takes the sign of Im(z^2), +1 at Im(z^2) = 0."""
+    if (z * z).real > 0 and abs(abs(z) - 1) > _UNIT_TOL:
+        return 1 if z.real * z.imag >= 0 else -1
+    return 0
+
+
+@functools.partial(_cached, second_miss=True)
+def _rotated_plan(n: int, z_real_hex: str, z_imag_hex: str):
+    """(params, scale, back1, middle, front) for a z that _rotation rotates by z2.
+
+    out = front * D_F(middle * D_F(back1 * g)) is F_w F_z2 g / sqrt(2 pi) with w = z / z2:
+    back1 is _stage_one's chirp, middle = back1 * S2(w) and front = K * S1(w) with
+    K = prefactor(w) c prefactor(z2) c / sqrt(2 pi), the first pass's front folded in.  A fresh z
+    builds one _chirps array, as a plan in the sector does.  params are those of z, which
+    make_params validates here; scale is a(w), the abscissae's.
+    """
+    z = complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex))
+    params = make_params(z)  # a z outside the disk or near +-1 is refused as on the one-pass path
+    sign = _rotation(z)
+    z2 = _Z2[sign]
+    rotated = make_params(z / z2)
+    c = _c(n)
+    k2 = cmath.sqrt(2 / (1 - z2 * z2)) * c / SQRT_2PI  # the first pass's front over its chirp, and 1/sqrt(2 pi)
+    front, middle = _chirps(n, rotated, rotated.prefactor * c * k2)
+    back1 = _stage_one(n, sign)
+    np.multiply(middle, back1, out=middle)
+    return params, rotated.a, back1, middle, front
 
 
 def xft_forward(g) -> SpectrumResult:
@@ -153,45 +223,60 @@ def xft_inverse(G) -> np.ndarray:
 
 
 def frft_forward(g, z: complex) -> SpectrumResult:
-    """Fractional transform at parameter z, evaluated at the abscissae a*t_j.
+    """Fractional transform at parameter z, evaluated at the abscissae scale*t_j.
 
     out = front * D_F * (back * g) with the cached diagonals of _plan,
-    front = sqrt(2/(1-z^2)) * c * S1 and back = S2.  At z = +-i both chirps
-    collapse to S, and back is the cached S itself: xft_forward is that case.
-    There _split_pass takes front as the scalar sqrt(2/(1-z^2)) * c and forms
-    its product with S itself.
+    front = sqrt(2/(1-z^2)) * c * S1 and back = S2, and scale = a.  At z = +-i
+    both chirps collapse to S, and back is the cached S itself: xft_forward is
+    that case.  There _split_pass takes front as the scalar sqrt(2/(1-z^2)) * c
+    and forms its product with S itself.
 
     For unit z = e^{i phi} other than i, the S1 exponent -mu a^2 t^2 =
     -2i sin(2 phi) k^2 / N (k = j - (N-1)/2) reaches N |sin 2 phi| / 2 rad,
     about 2.6e5 at N = 2^19.  Its error there is conditioning in z, not
     rounding: a one-ulp change of z moves the phase about as much.
 
-    For damped z with arg z outside about (pi/4, 3pi/4), the chirp exponents'
-    real parts grow like N; past log(float64 max) ~ 709.78 the plan's one
-    outer_exponents call raises CapabilityError naming N, z and the exponent.
+    A damped z (||z| - 1| > _UNIT_TOL) with Re(z^2) > 0, arg z outside
+    [pi/4, 3pi/4] mod pi, would give one pass chirps whose real exponents, and
+    rounding error, grow like N.  It runs as two passes (_rotated_plan), out =
+    front * D_F(middle * D_F(back * g)): one DFT and one multiply more, and a
+    fresh z still builds one half-grid exp pair.  params are z's, but scale is
+    a(z/z2): the abscissae are the second pass's.  The unit circle, z = +-i
+    and the sector keep the one pass and its bits.
 
-    For N < 2^17 or odd N: one pass over one buffer the call owns, y = back * g,
-    the DFT in place in y, then y *= front; g is never written.  g is checked
-    only for shape here.  Its one finite check is dft_forward's, on back * g,
-    which the finite chirps leave non-finite wherever g is, so NaN or Inf still
-    raises NonFiniteSignalError.  Even N >= 2^17 take _split_pass, which computes
-    the DFT as short column and row DFTs on two threads, on any host: the bits
-    do not depend on the CPU count.  The abscissae are computed on first read.
+    For N < 2^17 or odd N: one buffer the call owns, y = back * g, then per
+    pass the DFT in place in y and y *= that pass's front; g is never written.
+    g is checked only for shape here.  Its finite check is dft_forward's, on
+    back * g, which the finite chirps leave non-finite wherever g is, so NaN or
+    Inf still raises NonFiniteSignalError.  Even N >= 2^17 take _split_pass per
+    pass, which computes the DFT as short column and row DFTs on two threads, on
+    any host: the bits do not depend on the CPU count.  The abscissae are
+    computed on first read.
     """
     x = as_complex_vector(g)
     z = complex(z)
-    params, front, back = _plan(x.size, z.real.hex(), z.imag.hex())
+    key = x.size, z.real.hex(), z.imag.hex()
+    if _rotation(z):
+        params, scale, back, *fronts = _rotated_plan(*key)
+    else:
+        params, front, back = _plan(*key)
+        scale, fronts = params.a, (front,)
     if x.size >= _SPLIT_MIN and x.size % 2 == 0:
-        return SpectrumResult(values=_split_pass(x, front, back), params=params)
+        y = x
+        for front in fronts:  # a rotated z's middle chirp is its first pass's front; its second has no back
+            y, back = _split_pass(y, front, back), None
+        return SpectrumResult(y, params, scale)
     with np.errstate(invalid="ignore"):  # Inf in g: dft_forward raises NonFiniteSignalError
         y = back * x
-    dft_forward(y, out=y)
-    y *= front
-    return SpectrumResult(values=y, params=params)
+    for front in fronts:
+        dft_forward(y, out=y)
+        y *= front
+    return SpectrumResult(y, params, scale)
 
 
-def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """front * D_F * (back * x) for even N, as one four-step pass (Bailey 1990).
+def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray | None) -> np.ndarray:
+    """front * D_F * (back * x) for even N, as one four-step pass (Bailey 1990).  back None reads x as
+    is and writes the output over it: x is then the caller's own buffer, a rotated z's first pass output.
 
     With y = back * x, N = n1 n2 and W = e^{2 pi i/N}, bin k1 + n1 k2 of D_F y is
     D_F,n2 over j2 of a[k1, j2] = W^(k1 j2) D_F,n1(y[j1 n2 + j2] over j1)_k1.  Three
@@ -205,12 +290,16 @@ def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray) -> np.ndarra
     """
     tw = _twiddle(x.size)
     n1, n2 = tw.shape
-    a, out = np.empty((n1, n2), dtype=np.complex128), np.empty(x.size, dtype=np.complex128)
+    a = np.empty((n1, n2), dtype=np.complex128)
+    out = x if back is None else np.empty(x.size, dtype=np.complex128)  # columns have read x before any output
 
     def columns(lo, hi):
-        u = a[:, lo:hi]
-        with np.errstate(invalid="ignore"):  # Inf in x: the finite check below raises
-            np.multiply(back.reshape(n1, n2)[:, lo:hi], x.reshape(n1, n2)[:, lo:hi], out=u)
+        u, v = a[:, lo:hi], x.reshape(n1, n2)[:, lo:hi]
+        if back is None:
+            u[...] = v
+        else:
+            with np.errstate(invalid="ignore"):  # Inf in x: the finite check below raises
+                np.multiply(back.reshape(n1, n2)[:, lo:hi], v, out=u)
         if not np.isfinite(u.view(np.float64)).all():
             raise NonFiniteSignalError("signal contains NaN or Inf samples")
         np.fft.ifft(u, axis=0, norm="forward", out=u)
@@ -288,11 +377,20 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: it b
 
 
 def frft_dense_check(g, z: complex) -> np.ndarray:
-    """O(N^2) evaluation of the scaled fractional kernel; test oracle only.
+    """O(N^2) evaluation of the scaled fractional kernel at frft_forward's abscissae; test oracle only.
 
-    (F_z^a)_{jk} = sqrt(2/(1-z^2)) e^{-mu a^2 t_j^2} e^{a nu t_j t_k}
-                   e^{-mu t_k^2} dt, applied by direct summation.
+    (F_z^s)_{jk} = sqrt(2/(1-z^2)) e^{-mu s^2 t_j^2} e^{s nu t_j t_k}
+                   e^{-mu t_k^2} dt, applied by direct summation, with s = a, or
+    a(z/z2) for a z that frft_forward rotates.  It keeps the one-pass form, one
+    Mehler kernel of F_z: a rotated z's two passes are another quadrature of
+    F_z, which agrees with it only where both resolve the signal (1e-13 on
+    random samples at z = 0.7e^{0.5i}, N = 128; 3e-4 at 0.99e^{0.3i},
+    N = 1021), so closed forms check the rotated path.  At s = a(z/z2) the real
+    exponent is a negative definite form in (t_j, t_k) on a dense scan of that
+    region, so no entry overflows.
     """
     x = as_complex_signal(g)
     params = make_params(z)
-    return mehler_entries(x.size, params, params.require_a()) @ x
+    sign = _rotation(params.z)
+    scale = make_params(params.z / _Z2[sign]).require_a() if sign else params.require_a()
+    return mehler_entries(x.size, params, scale) @ x

@@ -260,19 +260,32 @@ class TestTransformRuns:
         assert status == 1
         assert "error: z = (nan+nanj) is not a finite number" in capsys.readouterr().err
 
-    def test_damped_overflow_is_an_error(self, tmp_path, capsys):
+    def test_refused_z_is_an_error(self, tmp_path, capsys):
         # the run refuses before --out is opened: an existing file keeps its bytes, a new
         # path is not created, and stdout stays empty
         kept = tmp_path / "kept.csv"
         kept.write_bytes(b"earlier output\n")
         for out in (kept, tmp_path / "out.csv"):
-            status = main(["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1",
+            status = main(["frft", "--n", "1024", "--z-mod", "0.9999999", "--z-arg", "0",
                            "--signal", "rect", "--out", str(out)])
             assert status == 1
             captured = capsys.readouterr()
-            assert "error: chirp at N = 1024" in captured.err and captured.out == ""
+            assert "error: z too close to +-1" in captured.err and captured.out == ""
         assert kept.read_bytes() == b"earlier output\n"
         assert not (tmp_path / "out.csv").exists()
+
+    def test_damped_z_outside_the_sector_runs_rotated(self, tmp_path):
+        # 0.5e^{0.1i} at 1024 points, where the one pass's chirp would overflow: the omega columns are
+        # the abscissae a(z/z2) t_j of frft_forward's second pass, and the reference at them agrees
+        status, text = run_to_file(tmp_path, ["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1",
+                                              "--signal", "gauss_beta", "--param", "beta=1.3", "--compare"])
+        assert status == 0
+        _, rows, summary = parse_csv(text)
+        g = sample(SignalSpec("gauss_beta", {"beta": 1.3}), asymptotic_grid(1024))
+        om = frft_forward(g, 0.5 * np.exp(0.1j)).abscissae
+        assert [float(row[1]) for row in rows] == om.real.tolist()
+        assert [float(row[2]) for row in rows] == om.imag.tolist()
+        assert float(summary["max_norm"]) < 1e-12
 
     def test_namias_convention_rescales(self, tmp_path):
         base = ["fft", "--n", "32", "--signal", "gauss_beta", "--param", "beta=0"]
@@ -305,8 +318,8 @@ class TestTransformRuns:
 
     # id -> (argv with {dir} for the test's directory, exit status, stderr fragment)
     REFUSALS = {
-        "damped_overflow": (["frft", "--n", "1024", "--z-mod", "0.5", "--z-arg", "0.1",
-                             "--signal", "rect"], 1, "chirp at N = 1024"),
+        "singular_z": (["frft", "--n", "1024", "--z-mod", "0.9999999", "--z-arg", "0",
+                        "--signal", "rect"], 1, "z too close to +-1: 1 - z^2 is singular"),
         "negative_b": (["fft", "--n", "64", "--signal", "cauchy_exp", "--param", "b=-1"], 1,
                        "cauchy_exp requires b > 0"),
         "missing_beta": (["fft", "--n", "64", "--signal", "gauss_beta"], 1,
@@ -476,8 +489,8 @@ class TestStreamedOutput:
 
         assert main(["fft", "--n", str(2 * B), "--signal", "rect", "--out", str(tmp_path / "out")]) == 0
         assert_no_child()
-        # the damped overflow refuses before any output, so before any fork
-        assert main(["frft", "--n", str(2 * B), "--z-mod", "0.5", "--z-arg", "0.1",
+        # a z next to 1 is refused before any output, so before any fork
+        assert main(["frft", "--n", str(2 * B), "--z-mod", "0.9999999", "--z-arg", "0",
                      "--signal", "rect", "--out", str(tmp_path / "refused")]) == 1
         assert_no_child()
         # an --out FIFO whose reader, another process, leaves after 100 bytes: the write fails
@@ -606,12 +619,12 @@ class TestCorpusAndBench:
             tmp_path, ["bench", "--min-exp", "6", "--max-exp", "7", "--repeats", "1"])
         assert status == 0
         lines = text.splitlines()
-        assert lines[0] == "n,seconds,frft_seconds,roundtrip_seconds,plan_seconds"
+        assert lines[0] == "n,seconds,frft_seconds,roundtrip_seconds,plan_seconds,damped_seconds"
         assert lines[-1].startswith("# summary ")
         ns = [int(ln.split(",")[0]) for ln in lines[1:-1]]
         secs = [float(cell) for ln in lines[1:-1] for cell in ln.split(",")[1:]]
         assert ns == [64, 128]
-        assert len(secs) == 8 and all(s > 0 for s in secs)
+        assert len(secs) == 10 and all(s > 0 for s in secs)
 
     def test_bench_json(self, tmp_path):
         status, text = run_to_file(
@@ -620,7 +633,7 @@ class TestCorpusAndBench:
         assert status == 0
         payload = json.loads(text)
         assert payload["n"] == [64]
-        for key in ("seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds"):
+        for key in ("seconds", "frft_seconds", "roundtrip_seconds", "plan_seconds", "damped_seconds"):
             assert len(payload[key]) == 1 and payload[key][0] > 0
         assert payload["numpy"] == np.__version__
         assert payload["nproc"] >= 1
@@ -645,13 +658,13 @@ class TestCorpusAndBench:
         monkeypatch.setattr(cli.timeit, "repeat", fake_repeat)
         status, _ = run_to_file(tmp_path, ["bench", "--min-exp", "6", "--max-exp", "7"])
         assert status == 0
-        warm = ["xft_forward", "frft_forward", "xft_forward", "xft_inverse", "plan"]
-        assert events == (warm * 2 + ["timed"] * 4) * 2
+        warm = ["xft_forward", "frft_forward", "xft_forward", "xft_inverse", "plan", "frft_forward"]
+        assert events == (warm * 2 + ["timed"] * 5) * 2
 
     def test_bench_output_bytes(self, tmp_path, monkeypatch):
         # fixed timings pin the table bytes; each time is the best of --repeats
         # single calls, timed with the garbage collector on
-        times = iter([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8] * 2)
+        times = iter([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0] * 2)
 
         def fake_repeat(op, setup, number, repeat):
             assert setup is cli.gc.enable and number == 1 and repeat == 3
@@ -663,13 +676,13 @@ class TestCorpusAndBench:
         status, text = run_to_file(tmp_path, argv, "bench.csv")
         assert status == 0
         assert text == (
-            "n,seconds,frft_seconds,roundtrip_seconds,plan_seconds\n"
-            "64,0.10000000000000001,0.20000000000000001,0.29999999999999999,0.40000000000000002\n"
-            "128,0.5,0.59999999999999998,0.69999999999999996,0.80000000000000004\n"
+            "n,seconds,frft_seconds,roundtrip_seconds,plan_seconds,damped_seconds\n"
+            "64,0.10000000000000001,0.20000000000000001,0.29999999999999999,0.40000000000000002,0.5\n"
+            "128,0.59999999999999998,0.69999999999999996,0.80000000000000004,0.90000000000000002,1\n"
             f"# summary numpy={np.__version__} nproc={os.cpu_count()}\n")
         status, text = run_to_file(tmp_path, argv + ["--format", "json"], "bench.json")
         assert status == 0
         assert text == (
-            '{"n": [64, 128], "seconds": [0.1, 0.5], "frft_seconds": [0.2, 0.6], '
-            '"roundtrip_seconds": [0.3, 0.7], "plan_seconds": [0.4, 0.8], '
+            '{"n": [64, 128], "seconds": [0.1, 0.6], "frft_seconds": [0.2, 0.7], '
+            '"roundtrip_seconds": [0.3, 0.8], "plan_seconds": [0.4, 0.9], "damped_seconds": [0.5, 1.0], '
             f'"numpy": "{np.__version__}", "nproc": {os.cpu_count()}}}\n')

@@ -30,7 +30,7 @@ from xft.errors import (
     XftError,
 )
 from xft.hermite import asymptotic_grid, hermite_functions
-from xft.kernel_dense import make_params, outer_exponents
+from xft.kernel_dense import SINGULARITY_EPS, make_params, mehler_entries, outer_exponents
 from xft.signals import SignalSpec, reference_transform, sample
 from xft.transform import (
     frft_dense_check,
@@ -344,37 +344,79 @@ class TestFractional:
         with pytest.raises(CapabilityError):
             frft_dense_check(np.ones(1025), 1j)
 
-    def test_dense_check_refuses_damped_overflow(self):
-        # the dense Mehler kernel forms the same outer exponents as the fast
-        # path's chirps; its cross factor e^{(4i/pi) t_j t_k} is unimodular
+    def test_dense_check_follows_the_rotated_scale(self):
+        # at 0.5e^{0.1i} the one-pass scale a(z) overflows the Mehler kernel's outer exponent at
+        # N = 1024, and mehler_entries still refuses it; frft_forward rotates this z, and the dense
+        # check evaluates the same one kernel at its abscissae a(z/z2), where no exponent grows
+        z = 0.5 * np.exp(0.1j)
+        params = make_params(z)
         with pytest.raises(CapabilityError, match="N = 1024.*exponent real part"):
-            frft_dense_check(np.ones(1024), 0.5 * np.exp(0.1j))
+            mehler_entries(1024, params, params.a)
+        g = random_signal(1024, 5)
+        dense = frft_dense_check(g, z)
+        fast = frft_forward(g, z).values
+        assert np.max(np.abs(fast - dense)) < 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("n", [1024, 1025])
-    def test_damped_chirp_overflow_is_refused(self, n):
-        # arg z = 0.1 lies outside the sector where both chirps decay; at
-        # N = 1024 the exponent's real part passes log(float64 max).  The
-        # message names N, not the ceil(N/2) nodes the plan's exponents take
-        g = np.exp(-asymptotic_grid(n).nodes ** 2 / 2.0)
-        with pytest.raises(CapabilityError, match=f"N = {n},.*exponent real part"):
-            frft_forward(g, 0.5 * np.exp(0.1j))
+    def test_damped_z_past_the_one_pass_overflow_is_rotated(self, n):
+        # arg z = 0.1 lies outside the sector where both chirps decay; at N = 1024 the one pass's
+        # exponent real part passes log(float64 max).  The two passes match the closed form at a(z/z2)
+        spec = SignalSpec("gauss_beta", {"beta": 1.3})
+        z = 0.5 * np.exp(0.1j)
+        result = frft_forward(sample(spec, asymptotic_grid(n)), z)
+        assert result.params.z == z and result.scale == make_params(z / transform._Z2[1]).a
+        assert np.array_equal(result.abscissae, result.scale * asymptotic_grid(n).nodes)
+        ref = reference_transform(spec, z, result.abscissae)
+        assert np.max(np.abs(result.values - ref)) < 1e-14 * np.max(np.abs(ref))
 
-    def test_damped_chirp_refusal_builds_no_exponent(self):
-        # at 2^20 each half-grid exponent takes 8.4 MB; the refusal may trace
-        # only the first ceil(N/2) nodes it reads t[0] from, half the N-node grid
-        n = 2**20
-        g = np.ones(n, dtype=np.complex128)
-        tracemalloc.start()
-        try:
-            asymptotic_grid(n)
-            grid_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            with pytest.raises(CapabilityError, match="N = 1048576.*exponent real part"):
-                frft_forward(g, 0.5 * np.exp(0.1j))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= grid_peak / 2 + 2**20
+    def test_rotated_call_builds_one_exponent_pair(self, monkeypatch):
+        # a fresh rotated z at a size seen before makes one outer_exponents call, as a sector z
+        # does: the first pass's chirp is cached per N and shared by the z2 of its sign
+        calls = []
+        monkeypatch.setattr(transform, "outer_exponents",
+                            lambda *args: calls.append(args[0]) or outer_exponents(*args))
+        g = random_signal(1000, 6)
+        for k in range(4):
+            frft_forward(g, 0.7 * np.exp(1j * (0.2 + 1e-3 * k)))  # Im(z^2) > 0
+            frft_forward(g, 0.7 * np.exp(-1j * (0.2 + 1e-3 * k)))  # Im(z^2) < 0
+        assert calls == [1000] * 8
+        assert transform._stage_one(1000, 1) is transform._stage_one(1000, 1)
+
+    def test_rotated_passes_fold_two_one_pass_calls(self):
+        # F_z = F_w F_z2 / sqrt(2 pi) with w = z / z2: the folded chirps give the two one-pass
+        # transforms' result, z2 on the unit circle at a(z2) = 1 to rounding
+        g = random_signal(512, 7)
+        for z in (0.8 * np.exp(0.3j), 0.8 * np.exp(-0.3j), 0.6 * np.exp(2.9j), 0.9):
+            z = complex(z)
+            z2 = transform._Z2[transform._rotation(z)]
+            assert abs(make_params(z2).a - 1) < 1e-15
+            want = frft_forward(frft_forward(g, z2).values, z / z2)
+            got = frft_forward(g, z)
+            assert got.scale == want.scale == make_params(z / z2).a
+            err = np.max(np.abs(got.values - want.values / math.sqrt(2 * math.pi)))
+            assert err < 1e-13 * np.max(np.abs(got.values))
+
+    def test_unit_z_whose_modulus_rounds_below_one_keeps_one_pass(self):
+        # |z| is half an ulp below 1 and Re(z^2) > 0: within _UNIT_TOL of the unit circle, so the
+        # one pass of _plan runs, bit for bit, at the scale a(z)
+        z = complex(np.exp(0.5621553884711781j))
+        assert abs(z) < 1 and (z * z).real > 0
+        g = random_signal(1024, 8)
+        params, front, back = _plan_of(1024, z)
+        expected = dft_forward(back * g)
+        expected *= front
+        result = frft_forward(g, z)
+        assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
+        assert result.scale == params.a
+
+    def test_rotated_split_pass_matches_closed_form(self):
+        # at even N >= 2^17 both passes take the four-step pass, the second with no back chirp
+        spec = SignalSpec("gauss_beta", {"beta": 1.3})
+        n = 2 * transform._SPLIT_MIN
+        z = 0.5 * np.exp(0.1j)
+        result = frft_forward(sample(spec, asymptotic_grid(n)), z)
+        ref = reference_transform(spec, z, result.abscissae)
+        assert np.max(np.abs(result.values - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def _plan_of(n, z):
@@ -847,20 +889,24 @@ def test_unit_circle_norm_identity(n, seed, phi):
     assert abs(np.linalg.norm(result.values) - expected) < 1e-9 * expected
 
 
-# inside this sector of arg z both damped chirp exponents decay, so the fast
-# path is finite at every N
-_DECAYING_ARG = (math.pi / 4 + 0.15, 3 * math.pi / 4 - 0.15)
+def _assume_damped(z):
+    """Skip a draw off the damped disk: |z| that rounds to within _UNIT_TOL of 1 runs as a unit z,
+    whose truncation near +-1 the unit-circle tests cover, and |1 - z^2| < SINGULARITY_EPS is refused."""
+    assume(abs(abs(z) - 1) > transform._UNIT_TOL and abs(1 - z * z) >= SINGULARITY_EPS)
 
 
 @settings(deadline=None)
-@given(st.floats(0.5, 1.0, exclude_max=True), st.floats(*_DECAYING_ARG), st.integers(80, 4096),
+@given(st.floats(0.5, 1.0, exclude_max=True), st.floats(-math.pi, math.pi), st.integers(80, 4096),
        st.floats(-2.0, 2.0))
 def test_damped_gauss_beta_matches_whole_disk_closed_form(mod, arg, n, beta):
-    # below N = 80 quadrature truncation, not the transform, sets the error:
+    # arg z covers the whole circle: outside the sector Re(z^2) <= 0 frft_forward rotates z, and
+    # result.abscissae are those of the second pass.
+    # Below N = 80 quadrature truncation, not the transform, sets the error:
     # at N = 64, |z| -> 1 and |beta| = 2 it is 2.8e-12 of max|ref| while the
     # fast path still agrees with frft_dense_check to 1.3e-15
     spec = SignalSpec("gauss_beta", {"beta": beta})
     z = mod * np.exp(1j * arg)
+    _assume_damped(z)
     result = frft_forward(sample(spec, asymptotic_grid(n)), z)
     ref = reference_transform(spec, z, result.abscissae)
     assert np.max(np.abs(result.values - ref)) < 1e-12 * np.max(np.abs(ref))
@@ -898,14 +944,14 @@ def test_hermite_functions_are_eigenfunctions(n, phi):
 
 
 @settings(deadline=None)
-@given(st.integers(0, 20), st.floats(0.5, 1.0, exclude_max=True),
-       st.floats(math.pi / 4, 3 * math.pi / 4, exclude_min=True, exclude_max=True),
+@given(st.integers(0, 20), st.floats(0.5, 1.0, exclude_max=True), st.floats(-math.pi, math.pi),
        st.integers(128, 4096))
 def test_damped_hermite_functions_are_eigenfunctions(k, mod, arg, n):
     # below N = 128 truncation sets the error: psi_20 at the edge of the 80-point grid is
     # 2.9e-8 of its peak. The bound is the input's scale, not max|ref|: |z|^20 shrinks the
     # output to ~1e-6 while the rounding stays at the input's scale
     z = mod * np.exp(1j * arg)
+    _assume_damped(z)
     psi = hermite_functions(k, asymptotic_grid(n).nodes)[k]
     result = frft_forward(psi, z)
     want = math.sqrt(2.0 * math.pi) * z ** k * hermite_functions(k, result.abscissae)[k]
