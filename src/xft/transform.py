@@ -6,6 +6,8 @@ at the scaled abscissae a*t_j in O(N log N).  The same factorization with
 z-dependent chirp diagonals gives the fractional transform for any z in the
 closed unit disk away from 0 and +-1: a damped z whose chirps would grow
 is first rotated by a fixed z2, F_z = F_{z/z2} F_{z2} / sqrt(2 pi): two such passes.
+One byte-bounded cache holds the chirp plans, and even N >= 2^17 run each DFT as a
+four-step pass on two threads.
 """
 
 import cmath
@@ -34,12 +36,12 @@ _UNIT_TOL = 2 * np.finfo(float).eps
 _COS0 = math.sqrt(1 - math.pi ** 2 / 16)  # cos(phi0)
 _Z2 = {1: complex(-_COS0, math.pi / 4), -1: complex(_COS0, math.pi / 4)}
 
-# The chirp cache of _base_chirp, _plan, _stage_one, _rotated_plan and _twiddle: (name, args) ->
+# The chirp cache of its four builders, _base_chirp, _plan, _stage_one and _twiddle: (name, args) ->
 # (value, size), least recently used first, holding at most _CACHE_BYTES bytes and _CACHE_ENTRIES
-# entries per builder.  size sums the nbytes of the entry's own arrays: a z = +-i plan also counts
-# the S it shares, a rotated plan the first pass's chirp.  One (N, z) counts about 64N bytes (S 16N,
-# plan 32N, twiddle 16N): N <= 2^22 fits.  A plan's first request stores its key alone, as
-# (None, 0); the count bounds those keys together with the plans stored.
+# entries per builder: one bound of 32 for one-pass and two-pass plans together.  size sums the
+# nbytes of the entry's own arrays: a z = +-i plan also counts the S it shares, a rotated plan the
+# first pass's chirp.  One (N, z) counts about 64N bytes (S 16N, plan 32N, twiddle 16N): N <= 2^22
+# fits.  A plan's first request stores its key alone, as (None, 0); the count bounds those keys too.
 _CACHE_BYTES, _CACHE_ENTRIES = 256 * 2**20, 32
 _cache, _cache_lock = collections.OrderedDict(), threading.Lock()
 _cache_bytes, _counts = 0, collections.Counter()  # the sum of the sizes; entries per builder
@@ -57,8 +59,8 @@ _pool = {}
 
 class SpectrumResult:
     """Transform samples, the parameters of the z asked for, and the output scale: the samples
-    approximate the transform at the abscissae scale*t_j.  scale is params.a, or a(z/z2) for a z
-    that frft_forward rotates by z2."""
+    approximate the transform at the abscissae scale*t_j.  scale is _plan's: params.a, or a(z/z2)
+    for a z that frft_forward rotates by z2."""
 
     def __init__(self, values: np.ndarray, params: TransformParams, scale: complex):
         self.values, self.params, self.scale = values, params, scale
@@ -121,20 +123,34 @@ def _base_chirp(n: int) -> np.ndarray:
 
 @functools.partial(_cached, second_miss=True)  # a fresh z would leave a plan no later call reads
 def _plan(n: int, z_real_hex: str, z_imag_hex: str):
-    """(params, front, back) for size n and the z with these bits.
+    """(params, scale, back, *fronts) for size n and the z with these bits: frft_forward's output
+    is fronts[-1] * D_F(... fronts[0] * D_F(back * g)), at the abscissae scale * t_j.
 
-    front = prefactor * c * S1 and back = S2, with S1 = e^{-mu a^2 t^2} S, S2 = e^{-mu t^2} S
-    and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), its phase reduced mod 2 pi in integers like
-    that of S.  A chirp that would overflow raises CapabilityError before its array or S is built;
-    errors are not cached, so only a valid z enters the cache.  At z = +-i, mu is 0: back is S,
-    and for _split_pass front is the scalar prefactor * c, so the plan holds no array of its own.
-    Otherwise _chirps builds front and back.
+    One pass, (params, a, S2, K c S1): S1 = e^{-mu a^2 t^2} S, S2 = e^{-mu t^2} S, K the prefactor
+    and c = pi e^{i pi (n-1)^2 / 2n} / sqrt(2n), its phase reduced mod 2 pi in integers like that
+    of S.  At z = +-i, mu is 0: back is S, and for _split_pass the front is the scalar K c, so the
+    plan holds no array of its own.  A z that _rotation rotates by z2 runs two passes,
+    (params, a(w), S2(z2), S2(z2) S2(w), K' S1(w)) with w = z / z2: the first pass's chirp is
+    _stage_one's, and its front, prefactor(z2) c S2(z2) at a(z2) = 1, folds into the middle chirp,
+    with K' = prefactor(w) c prefactor(z2) c / sqrt(2 pi).  params are z's: make_params refuses a
+    z before any array is built, and errors are not cached, so only a valid z enters the cache.
     """
-    params = make_params(complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex)))
+    z = complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex))
+    params, c = make_params(z), _c(n)
     if params.mu == 0:  # z = +-i: both exponents are exact zeros, so S1 = S2 = S and no exp
-        s, kc = _base_chirp(n), params.prefactor * _c(n)
-        return params, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s, s
-    return params, *_chirps(n, params, params.prefactor * _c(n))
+        s, kc = _base_chirp(n), params.prefactor * c
+        return params, params.a, s, kc if n >= _SPLIT_MIN and n % 2 == 0 else kc * s
+    sign = _rotation(z)
+    if not sign:
+        front, back = _chirps(n, params, params.prefactor * c)
+        return params, params.a, back, front
+    z2 = _Z2[sign]
+    rotated = make_params(z / z2)
+    k2 = cmath.sqrt(2 / (1 - z2 * z2)) * c / SQRT_2PI  # the first pass's front over its chirp, and 1/sqrt(2 pi)
+    front, middle = _chirps(n, rotated, rotated.prefactor * c * k2)
+    back = _stage_one(n, sign)
+    np.multiply(middle, back, out=middle)
+    return params, rotated.a, back, middle, front
 
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)  # one scalar per n: its numpy scalar calls cost a fresh z 2 us
@@ -179,29 +195,6 @@ def _rotation(z: complex) -> int:
     return 0
 
 
-@functools.partial(_cached, second_miss=True)
-def _rotated_plan(n: int, z_real_hex: str, z_imag_hex: str):
-    """(params, scale, back1, middle, front) for a z that _rotation rotates by z2.
-
-    out = front * D_F(middle * D_F(back1 * g)) is F_w F_z2 g / sqrt(2 pi) with w = z / z2:
-    back1 is _stage_one's chirp, middle = back1 * S2(w) and front = K * S1(w) with
-    K = prefactor(w) c prefactor(z2) c / sqrt(2 pi), the first pass's front folded in.  A fresh z
-    builds one _chirps array, as a plan in the sector does.  params are those of z, which
-    make_params validates here; scale is a(w), the abscissae's.
-    """
-    z = complex(float.fromhex(z_real_hex), float.fromhex(z_imag_hex))
-    params = make_params(z)  # a z outside the disk or near +-1 is refused as on the one-pass path
-    sign = _rotation(z)
-    z2 = _Z2[sign]
-    rotated = make_params(z / z2)
-    c = _c(n)
-    k2 = cmath.sqrt(2 / (1 - z2 * z2)) * c / SQRT_2PI  # the first pass's front over its chirp, and 1/sqrt(2 pi)
-    front, middle = _chirps(n, rotated, rotated.prefactor * c * k2)
-    back1 = _stage_one(n, sign)
-    np.multiply(middle, back1, out=middle)
-    return params, rotated.a, back1, middle, front
-
-
 def xft_forward(g) -> SpectrumResult:
     """Scaled Fourier transform: approximates G((4/pi) t_j), G(w) = int e^{iwt} g(t) dt.
 
@@ -225,11 +218,11 @@ def xft_inverse(G) -> np.ndarray:
 def frft_forward(g, z: complex) -> SpectrumResult:
     """Fractional transform at parameter z, evaluated at the abscissae scale*t_j.
 
-    out = front * D_F * (back * g) with the cached diagonals of _plan,
-    front = sqrt(2/(1-z^2)) * c * S1 and back = S2, and scale = a.  At z = +-i
-    both chirps collapse to S, and back is the cached S itself: xft_forward is
-    that case.  There _split_pass takes front as the scalar sqrt(2/(1-z^2)) * c
-    and forms its product with S itself.
+    One cached _plan request gives params, scale, back and the fronts: out =
+    front * D_F * (back * g) with front = sqrt(2/(1-z^2)) * c * S1, back = S2
+    and scale = a.  At z = +-i both chirps collapse to S, and back is the cached
+    S itself: xft_forward is that case.  There _split_pass takes front as the
+    scalar sqrt(2/(1-z^2)) * c and forms its product with S itself.
 
     For unit z = e^{i phi} other than i, the S1 exponent -mu a^2 t^2 =
     -2i sin(2 phi) k^2 / N (k = j - (N-1)/2) reaches N |sin 2 phi| / 2 rad,
@@ -238,7 +231,7 @@ def frft_forward(g, z: complex) -> SpectrumResult:
 
     A damped z (||z| - 1| > _UNIT_TOL) with Re(z^2) > 0, arg z outside
     [pi/4, 3pi/4] mod pi, would give one pass chirps whose real exponents, and
-    rounding error, grow like N.  It runs as two passes (_rotated_plan), out =
+    rounding error, grow like N.  Its plan has two fronts, out =
     front * D_F(middle * D_F(back * g)): one DFT and one multiply more, and a
     fresh z still builds one half-grid exp pair.  params are z's, but scale is
     a(z/z2): the abscissae are the second pass's.  The unit circle, z = +-i
@@ -255,12 +248,7 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     """
     x = as_complex_vector(g)
     z = complex(z)
-    key = x.size, z.real.hex(), z.imag.hex()
-    if _rotation(z):
-        params, scale, back, *fronts = _rotated_plan(*key)
-    else:
-        params, front, back = _plan(*key)
-        scale, fronts = params.a, (front,)
+    params, scale, back, *fronts = _plan(x.size, z.real.hex(), z.imag.hex())
     if x.size >= _SPLIT_MIN and x.size % 2 == 0:
         y = x
         for front in fronts:  # a rotated z's middle chirp is its first pass's front; its second has no back

@@ -289,7 +289,7 @@ class TestFractional:
         first, second = _plan_of(8192, z), _plan_of(8192, z)
         assert first is not second and first[2] is not second[2]
         expected = dft_forward(second[2] * g)
-        expected *= second[1]
+        expected *= second[3]
         assert np.array_equal(frft_forward(g, z).values.view(np.uint64), expected.view(np.uint64))
         assert list(transform._cache.items()) == kept
         _assert_counts()
@@ -382,6 +382,31 @@ class TestFractional:
         assert calls == [1000] * 8
         assert transform._stage_one(1000, 1) is transform._stage_one(1000, 1)
 
+    def test_every_call_makes_one_plan_request(self, monkeypatch):
+        # _plan builds every plan: a call at z = i, at a unit z, in the sector and at a rotated z
+        # of either sign makes one request.  A rotated plan is stored on its second request like
+        # any plan, and later calls hit it, building no exponent
+        _empty_cache(monkeypatch, transform._CACHE_BYTES)
+        plan, requests, built = transform._plan, [], []
+        monkeypatch.setattr(transform, "_plan", lambda *key: requests.append(key) or plan(*key))
+        monkeypatch.setattr(transform, "outer_exponents",
+                            lambda *args: built.append(args[0]) or outer_exponents(*args))
+        g = random_signal(1000, 9)
+        for z in (1j, np.exp(0.7j), 0.9 * np.exp(1.2j), 0.8 * np.exp(0.3j), 0.8 * np.exp(-0.3j)):
+            z = complex(z)
+            requests.clear()
+            frft_forward(g, z)
+            assert requests == [(1000, z.real.hex(), z.imag.hex())]
+        z = complex(0.8 * np.exp(0.3j))
+        stored = frft_forward(g, z).values
+        assert built == [1000] * 5  # one per first request at a z with mu != 0, one that stores
+        for _ in range(2):
+            assert np.array_equal(frft_forward(g, z).values.view(np.uint64), stored.view(np.uint64))
+        assert built == [1000] * 5 and len(requests) == 4
+        assert _plan_of(1000, z) is _plan_of(1000, z)
+        assert set(transform._counts) == {"_base_chirp", "_plan", "_stage_one"}
+        _assert_counts()
+
     def test_rotated_passes_fold_two_one_pass_calls(self):
         # F_z = F_w F_z2 / sqrt(2 pi) with w = z / z2: the folded chirps give the two one-pass
         # transforms' result, z2 on the unit circle at a(z2) = 1 to rounding
@@ -402,12 +427,12 @@ class TestFractional:
         z = complex(np.exp(0.5621553884711781j))
         assert abs(z) < 1 and (z * z).real > 0
         g = random_signal(1024, 8)
-        params, front, back = _plan_of(1024, z)
+        params, scale, back, front = _plan_of(1024, z)
         expected = dft_forward(back * g)
         expected *= front
         result = frft_forward(g, z)
         assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
-        assert result.scale == params.a
+        assert result.scale == scale == params.a
 
     def test_rotated_split_pass_matches_closed_form(self):
         # at even N >= 2^17 both passes take the four-step pass, the second with no back chirp
@@ -457,7 +482,7 @@ class TestCore:
     @pytest.mark.parametrize("z", [1j, np.exp(0.7j), 0.9 * np.exp(1.2j)])
     def test_forward_bitwise_equals_product(self, n, z):
         g = random_signal(n, n)
-        _, front, back = _plan_of(n, z)
+        _, _, back, front = _plan_of(n, z)
         # in place like the core: numpy multiplies one element in place by a
         # scalar loop and out of place by a fused one, which round differently
         expected = dft_forward(back * g)
@@ -537,7 +562,7 @@ class TestSplitPass:
     @pytest.mark.parametrize("z", [1j, -1j, np.exp(0.7j), 0.99 * np.exp(1.3j)])
     def test_agrees_with_one_pass_product(self, n, z):
         g = random_signal(n, n)
-        _, front, back = _plan_of(n, z)
+        _, _, back, front = _plan_of(n, z)
         if z in (1j, -1j):  # the plan keeps only K c; back is S
             front = np.multiply(front, back)
         ref = front * np.fft.ifft(back * g, norm="forward")
@@ -552,7 +577,7 @@ class TestSplitPass:
         g = random_signal(n, n + 2)
         s = transform._base_chirp(n)
         for z in (1j, -1j):
-            _, kc, back = _plan_of(n, z)
+            _, _, back, kc = _plan_of(n, z)
             assert back is s and np.ndim(kc) == 0
             assert np.array_equal(np.array([kc]).view(np.uint64), np.array([_scalar_front(n, z)]).view(np.uint64))
             expected = transform._split_pass(g, np.multiply(_scalar_front(n, z), s), s)
@@ -815,7 +840,7 @@ class TestPlan:
             # the invariant the half-grid exp rests on, in bytes: array_equal takes -0.0 for +0.0
             assert np.array_equal(fe.view(np.uint64), fe[::-1].copy().view(np.uint64)), z
             assert np.array_equal(be.view(np.uint64), be[::-1].copy().view(np.uint64)), z
-            _, got_front, got_back = _plan_of(n, z)
+            _, _, got_back, got_front = _plan_of(n, z)
             if np.ndim(got_front) == 0:  # z = +-i at a split size: front is K c S, formed in the pass
                 got_front = np.multiply(got_front, got_back)
             # bytes, not values: array_equal takes -0.0 for +0.0
@@ -832,7 +857,7 @@ class TestPlan:
         asymptotic_grid(n)
         tracemalloc.start()
         try:
-            _, front, back = transform._plan.__wrapped__(n, z.real.hex(), z.imag.hex())
+            _, _, back, front = transform._plan.__wrapped__(n, z.real.hex(), z.imag.hex())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -865,7 +890,11 @@ def test_plan_bitwise_equals_full_grid_exp(n, mod, arg):
         _, _, front, back = _full_grid_plan(n, z)
     except XftError:  # z near +-1, or a damped chirp that overflows: refused
         assume(False)
-    _, got_front, got_back = _plan_of(n, z)
+    if transform._rotation(complex(z)):  # _plan runs this z as two passes: pin its one-pass chirps
+        params = make_params(z)
+        got_front, got_back = transform._chirps(n, params, params.prefactor * transform._c(n))
+    else:
+        _, _, got_back, got_front = _plan_of(n, z)
     assert np.array_equal(got_front.view(np.uint64), front.view(np.uint64))
     assert np.array_equal(got_back.view(np.uint64), back.view(np.uint64))
 
