@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--input", help="CSV file of samples instead of --signal")
         p.add_argument("--param", type=_parse_param, action="append", default=[],
                        metavar="KEY=VALUE", help="signal parameter, repeatable")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format",
+                       help="CSV rows with a closing '# summary' line, or one JSON object (default: csv)")
         p.add_argument("--out", help="write to this path instead of stdout")
         p.add_argument("--convention", choices=CONVENTIONS, default="paper",
                        help="output normalization (default: paper)")
@@ -110,10 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(run=_corpus_run)
 
     p_bench = sub.add_parser("bench", help="time the fast path over N = 2^k")
-    p_bench.add_argument("--min-exp", type=_positive_int, default=10)
-    p_bench.add_argument("--max-exp", type=_positive_int, default=19)
-    p_bench.add_argument("--repeats", type=_positive_int, default=3)
-    p_bench.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
+    p_bench.add_argument("--min-exp", type=_positive_int, default=10, help="smallest N = 2^MIN_EXP (default: 10)")
+    p_bench.add_argument("--max-exp", type=_positive_int, default=19, help="largest N = 2^MAX_EXP (default: 19)")
+    p_bench.add_argument("--repeats", type=_positive_int, default=3,
+                         help="timed calls of each op, the best kept (default: 3)")
+    p_bench.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format",
+                         help="columns n, seconds (xft_forward), frft_seconds (z = e^{0.7i}), roundtrip_seconds "
+                              "(xft_forward + xft_inverse), plan_seconds (a chirp plan built as on a cache miss) "
+                              "and damped_seconds (z = 0.5e^{0.1i}, two passes), then numpy and nproc; "
+                              "as CSV or JSON (default: csv)")
     p_bench.add_argument("--out", help="write to this path instead of stdout")
     p_bench.set_defaults(run=_bench_run)
 

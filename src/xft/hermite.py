@@ -107,6 +107,8 @@ def hermite_functions(k_max: int, w):
 
     Returns shape (k_max+1,) + shape(w).  The Gaussian meets the exponents of the rows
     in two equal factors, so nothing under- or overflows where psi_k is a normal double.
+    psi_k is an eigenfunction of every F_z, F_z psi_k = sqrt(2pi) z^k psi_k: an oracle for the
+    fast path that needs no closed form per signal.
     """
     rows, s = _hermite_rows(k_max, w)
     half = np.exp(s * (np.log(2.0) / 2) - np.square(w) / 4)

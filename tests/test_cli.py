@@ -1,5 +1,6 @@
 """Command-line behavior: parsing, output formats, exit statuses."""
 
+import argparse
 import functools
 import json
 import math
@@ -134,6 +135,12 @@ class TestParsing:
 
     def test_parser_prog_name(self):
         assert build_parser().prog == "xft"
+
+    def test_every_option_of_every_subcommand_has_help(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        missing = [(name, a.dest) for name, p in sub.choices.items() for a in p._actions
+                   if not (a.help or "").strip()]
+        assert not missing
 
 
 class TestLoadSignal:

@@ -1,6 +1,7 @@
-"""The README's library sketch, its reproduction numbers and the names the
-package root exports."""
+"""The README's library sketch, its reproduction numbers, its CLI usage block, its size and
+the names the package root exports."""
 
+import argparse
 import re
 import shlex
 from decimal import Decimal
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import xft
-from xft.cli import main, rect_peaks
+from xft.cli import build_parser, main, rect_peaks
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,3 +85,23 @@ def test_reproduction_rect_peaks():
     assert len(quoted) == len(peaks)
     for text, peak in zip(quoted, peaks):
         assert abs(peak - float(text)) <= _half_unit(text), (peak, text)
+
+
+def test_readme_stays_under_its_byte_budget():
+    # mechanism lives in the docstrings of the code that implements it, not here as a second copy
+    assert len(_README.read_bytes()) < 14_000
+
+
+def test_usage_block_names_every_option_of_each_subcommand():
+    section = _README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    usage = {}
+    for line in re.search(r"```\n(.*?)```", section, re.S).group(1).splitlines():
+        if line.startswith("xft "):
+            command = line.split()[1]
+        usage.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+        if "...same flags..." in line:
+            usage[command] |= usage["fft"]
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+              for name, p in sub.choices.items()}
+    assert usage == parsed

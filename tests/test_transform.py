@@ -941,6 +941,27 @@ def test_damped_gauss_beta_matches_whole_disk_closed_form(mod, arg, n, beta):
     assert np.max(np.abs(result.values - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+@settings(deadline=None)
+@given(st.floats(1e-3, 0.5, exclude_max=True), st.floats(-math.pi, math.pi), st.integers(80, 4096),
+       st.floats(-2.0, 2.0))
+def test_small_modulus_gauss_beta_matches_closed_form(mod, arg, n, beta):
+    # the output scale |a| ~ 2/(pi |z|) grows as |z| falls, so the grid resolves less of the
+    # transform, but the values stay right.  The bound is 1e-12 of max|ref| plus two float64 limits
+    # of the comparison itself: below the smallest normal double no value carries 1e-12 of relative
+    # precision, and the closed form's phase -w^2/2 at an abscissa rounded to float64 is uncertain
+    # by eps |w|^2 (near arg z = 3pi/4 at |z| = 1e-3 that is 7.5e-11 of max|ref|, and a 40-digit
+    # evaluation puts both sides 2-3e-11 from the exact value).  An all-zero closed form, as the
+    # underflow at |z| = 1e-3 can give, needs an all-zero output
+    spec = SignalSpec("gauss_beta", {"beta": beta})
+    z = mod * np.exp(1j * arg)
+    result = frft_forward(sample(spec, asymptotic_grid(n)), z)
+    ref = reference_transform(spec, z, result.abscissae)
+    peak = np.max(np.abs(ref))
+    scale = max(peak, np.finfo(float).tiny) if peak else 0.0
+    phase = np.finfo(float).eps * np.max(np.abs(result.abscissae) ** 2 * np.abs(ref))
+    assert np.max(np.abs(result.values - ref)) <= 1e-12 * scale + 4 * phase
+
+
 class TestHalfIntegerPulses:
     @pytest.mark.parametrize("n,m", [(8, 1.5), (256, 3.5)])
     def test_even_grids_admit_half_integer_frequencies(self, n, m):
