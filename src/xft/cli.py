@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import InputParseError, InvalidSizeError, XftError
 from .hermite import asymptotic_grid
-from .kernel_dense import SQRT_2PI
+from .kernel_dense import SQRT_2PI, UNIT_TOL
 from .metrics import leakage_mean, max_norm_error, peak_frequency
 from .signals import CORPUS_NAMES, SignalSpec, reference_transform, sample
-from .transform import _UNIT_TOL, _plan, frft_forward, xft_forward, xft_inverse
+from .transform import _plan, frft_forward, xft_forward, xft_inverse
 
 _FMT = "%.17g"
 _BLOCK = 4096  # rows per text block: a run computes everything, then formats a block at a time
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _measure(spec, result, convention: str, compare: bool):
     """(values, refs, summary) of a run in the output convention: the error norms
     if compare, and each harmonic measure where it is defined: leakage needs 3
-    bins, the peak a positive abscissa on the real axis (N >= 2, |z| = 1)."""
+    bins, the peak a positive abscissa on the real axis (N >= 2, ||z| - 1| <= UNIT_TOL)."""
     # multiplied even by 1.0: the complex multiply turns some -0.0 parts of the printed values into +0.0
     values = result.values * (1.0 if convention == "paper" else 1.0 / SQRT_2PI)
     refs, summary = None, {"convention": convention}
@@ -141,7 +141,7 @@ def _measure(spec, result, convention: str, compare: bool):
     if spec is not None and spec.name == "harmonic":
         if values.size >= 3:
             summary["leakage_mean"] = leakage_mean(values)
-        if values.size >= 2 and abs(abs(result.params.z) - 1) <= _UNIT_TOL:
+        if values.size >= 2 and abs(result.params.z) >= 1 - UNIT_TOL:  # make_params refuses past 1 + UNIT_TOL
             summary["peak_frequency"] = peak_frequency(result)
     return values, refs, summary
 

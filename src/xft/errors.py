@@ -14,7 +14,7 @@ class NonFiniteSignalError(XftError):
 
 
 class CapabilityError(XftError):
-    """Beyond what a path computes: a dense size over its limit, or a damped chirp that overflows."""
+    """Beyond a path: a dense size over its limit, or a chirp or finite signal's transform past float64."""
 
 
 class OutOfDomainError(XftError):

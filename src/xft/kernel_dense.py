@@ -29,7 +29,8 @@ SINGULARITY_EPS = 1e-6
 # Largest n for which the dense n x n Mehler kernel is built.
 MEHLER_LIMIT = 1024
 
-_DISK_TOL = 1e-12
+# ||z| - 1| <= UNIT_TOL is the unit circle, as |1.0 * e^{i arg}| is within an ulp of 1: above, out; below, damped.
+UNIT_TOL = 2 * np.finfo(float).eps
 _ZERO_TOL = 1e-6
 
 _EXP_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78: exp above it overflows
@@ -57,12 +58,13 @@ class TransformParams(NamedTuple):
 
 
 def _disk_point(z) -> complex:
-    """z as a complex number; OutOfDomainError unless finite and |z| <= 1."""
+    """z as a complex number; OutOfDomainError unless finite and |z| <= 1 + UNIT_TOL.  Past that band
+    the dense kernels' real exponents grow like (|z| - 1) t^2 / |1 - z^2|^2: at 1 + 5e-13 they overflow."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise OutOfDomainError(f"z = {z} is not a finite number")
-    if abs(z) > 1.0 + _DISK_TOL:
-        raise OutOfDomainError(f"|z| = {abs(z):.6f} lies outside the unit disk")
+    if abs(z) > 1.0 + UNIT_TOL:
+        raise OutOfDomainError(f"|z| - 1 = {abs(z) - 1:.3g} > UNIT_TOL = {UNIT_TOL:.3g}: outside the unit disk")
     return z
 
 
@@ -97,14 +99,15 @@ def outer_exponents(n: int, params: TransformParams, scale: complex, t: np.ndarr
     """(-mu scale^2 t^2, -mu t^2), the kernel's two outer chirp exponents, in the first len(t) columns
     of a new (2, n) complex array, the rest unwritten: t is the first len(t) nodes of the size-n grid.
 
-    Raises CapabilityError naming n, z and the exponent when the left real part passes log(float64
-    max), before the array is allocated.  No exponent then can: Re mu >= 0 on the disk, a nu t_j t_k
-    = (4i/pi) t_j t_k is imaginary at scale a, and at scale 1 Re(mu -+ nu/2) = Re((1-+z)/(2(1+-z)))
-    >= 0.  Both rows are products with t^2, so even bit for bit.  The left real part is c.real t^2:
-    where it can pass the bound it peaks at c.real t[0]^2 (t[0] has the largest |t|), node 0's bits.
+    Raises CapabilityError naming n, z and the exponent when a row's real part passes log(float64 max),
+    before the array is allocated.  Both rows are products with t^2, so even bit for bit; their real
+    parts c.real t^2 and -Re(mu) t^2, where positive, peak at node 0, whose |t| is largest.  Re mu < 0
+    only past |z| = 1, in the band, where the right row passes near z = +-1 at n of about 2^20.  At
+    scale a, a nu t_j t_k = (4i/pi) t_j t_k is imaginary; at scale 1 the kernel's real exponent is
+    (|z|^2 - 1) q / |1 - z^2|^2 with 0 <= q <= 4 t[0]^2: below 4.5 in the band at n <= MEHLER_LIMIT.
     """
     c = -params.mu * (scale * scale)
-    peak = c.real * (t[0] * t[0])
+    peak = max(c.real, -params.mu.real) * (t[0] * t[0])
     if peak > _EXP_MAX:
         raise CapabilityError(f"chirp at N = {n}, z = {params.z:.6g} overflows float64: "
                               f"exponent real part {peak:.6g} > {_EXP_MAX:.6g}")

@@ -12,6 +12,7 @@ four-step pass on two threads.
 
 import cmath
 import collections
+import contextvars
 import functools
 import math
 import os
@@ -20,12 +21,9 @@ import threading
 import numpy as np
 
 from .dft_engine import as_complex_signal, as_complex_vector, dft_forward
-from .errors import NonFiniteSignalError
+from .errors import CapabilityError, NonFiniteSignalError
 from .hermite import asymptotic_grid, leading_nodes
-from .kernel_dense import SQRT_2PI, TransformParams, make_params, mehler_entries, outer_exponents
-
-# |z| = 1 to within this: |1.0 * e^{i arg}| is within an ulp of 1, and such a z keeps the one-pass form
-_UNIT_TOL = 2 * np.finfo(float).eps
+from .kernel_dense import SQRT_2PI, UNIT_TOL, TransformParams, make_params, mehler_entries, outer_exponents
 
 # A damped z with Re(z^2) > 0, whose one pass has chirps and rounding error that grow like N, runs as
 # F_z = F_w F_z2 / sqrt(2 pi), w = z / z2 (index additivity; the order reduction of Ozaktas, Arikan,
@@ -193,9 +191,9 @@ def _stage_one(n: int, sign: int) -> np.ndarray:
 
 
 def _rotation(z: complex) -> int:
-    """0 where frft_forward runs z in one pass, else the key of the z2 in _Z2 that it rotates z by:
-    a damped z (||z| - 1| > _UNIT_TOL) with Re(z^2) > 0 takes the sign of Im(z^2), +1 at Im(z^2) = 0."""
-    if (z * z).real > 0 and abs(abs(z) - 1) > _UNIT_TOL:
+    """0 where frft_forward runs z in one pass, else the key of the z2 in _Z2 that it rotates z by: a damped
+    z (|z| < 1 - UNIT_TOL, below the band) with Re(z^2) > 0 takes the sign of Im(z^2), +1 at Im(z^2) = 0."""
+    if (z * z).real > 0 and abs(z) < 1 - UNIT_TOL:
         return 1 if z.real * z.imag >= 0 else -1
     return 0
 
@@ -223,10 +221,11 @@ def xft_inverse(G) -> np.ndarray:
 def frft_forward(g, z: complex) -> SpectrumResult:
     """Fractional transform at parameter z, evaluated at the abscissae scale*t_j.
 
-    z lies in the closed unit disk (OutOfDomainError), away from +-1 (SingularParameterError) and at
-    |z| >= 1e-6 (AbsentScalingError); z = i is xft_forward.  g is never written; NaN or Inf in g raises
-    NonFiniteSignalError.  _plan gives the chirps, one pass or, for a damped z with Re(z^2) > 0,
-    two, whose abscissae are the second pass's: scale = a(z/z2), while params are z's.
+    z lies in the closed unit disk, |z| <= 1 + UNIT_TOL (OutOfDomainError), away from +-1
+    (SingularParameterError) and at |z| >= 1e-6 (AbsentScalingError); z = i is xft_forward.  g is never
+    written; NaN or Inf in g raises NonFiniteSignalError, and a finite g whose transform overflows
+    float64 CapabilityError, unwarned.  _plan gives the chirps, one pass or, for a damped z with
+    Re(z^2) > 0, two, whose abscissae are the second pass's: scale = a(z/z2), while params are z's.
 
     The output scale is |a| ~ 2/(pi |z|), so as |z| falls the grid stops resolving the
     transform while the values stay correct.  With gauss_beta, beta = 1.3, arg z = 0.1, N = 1024:
@@ -239,17 +238,24 @@ def frft_forward(g, z: complex) -> SpectrumResult:
     x = as_complex_vector(g)
     z = complex(z)
     params, scale, back, *fronts = _plan(x.size, z.real.hex(), z.imag.hex())
-    if x.size >= _SPLIT_MIN and x.size % 2 == 0:
-        y = x
-        for front in fronts:  # a rotated z's middle chirp is its first pass's front; its second has no back
-            y, back = _split_pass(y, front, back), None
-        return SpectrumResult(y, params, scale)
-    with np.errstate(invalid="ignore"):  # Inf in g: dft_forward raises NonFiniteSignalError
-        y = back * x
-    for front in fronts:
-        dft_forward(y, out=y)
-        y *= front
-    return SpectrumResult(y, params, scale)
+    fired = []  # overflow or invalid flags, here or on the worker: only then is the output checked
+    try:
+        with np.errstate(over="call", invalid="call", call=lambda *flag: fired.append(flag)):
+            if x.size >= _SPLIT_MIN and x.size % 2 == 0:
+                y = x
+                for front in fronts:  # a rotated z's middle chirp is its first pass's front; no second back
+                    y, back = _split_pass(y, front, back), None
+            else:
+                y = back * x
+                for front in fronts:
+                    dft_forward(y, out=y)
+                    y *= front
+        if not fired or np.isfinite(y.view(np.float64)).all():
+            return SpectrumResult(y, params, scale)
+    except NonFiniteSignalError:  # NaN or Inf in g, or a second pass fed a first pass that overflowed
+        if not np.isfinite(x).all():
+            raise
+    raise CapabilityError(f"transform at N = {x.size}, z = {z:.6g} overflows float64 for this signal")
 
 
 def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray | None) -> np.ndarray:
@@ -276,8 +282,7 @@ def _split_pass(x: np.ndarray, front: np.ndarray, back: np.ndarray | None) -> np
         if back is None:
             u[...] = v
         else:
-            with np.errstate(invalid="ignore"):  # Inf in x: the finite check below raises
-                np.multiply(back.reshape(n1, n2)[:, lo:hi], v, out=u)
+            np.multiply(back.reshape(n1, n2)[:, lo:hi], v, out=u)
         if not np.isfinite(u.view(np.float64)).all():
             raise NonFiniteSignalError("signal contains NaN or Inf samples")
         np.fft.ifft(u, axis=0, norm="forward", out=u)
@@ -338,7 +343,7 @@ def _on_two_threads(tasks):
             from concurrent.futures import ThreadPoolExecutor  # costs ~8 ms: only when first needed
             pool = _pool.setdefault("worker", ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="xft-dft", initializer=_warm))
-        future = pool.submit(drain)
+        future = pool.submit(contextvars.copy_context().run, drain)  # with this thread's np.errstate
     except RuntimeError:  # after shutdown began, or "can't start new thread"
         _pool.clear()
         return drain()

@@ -281,6 +281,20 @@ class TestTransformRuns:
         assert kept.read_bytes() == b"earlier output\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("n", [64, 2**17])
+    def test_finite_input_whose_transform_overflows_is_one_error_line(self, tmp_path, n):
+        # rows of 1e307 sum past float64's range in the DFT.  A process of its own, so numpy's
+        # RuntimeWarnings would show on stderr under the default filters: exit 1, one error
+        # line, nothing written
+        sig, out = tmp_path / "huge.csv", tmp_path / "out.csv"
+        sig.write_text("1e307\n" * n)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "xft.cli", "fft", "--n", str(n), "--input", str(sig),
+                               "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: transform at N = {n}, z = 0+1j overflows float64 for this signal\n"
+        assert not out.exists()
+
     def test_damped_z_outside_the_sector_runs_rotated(self, tmp_path):
         # 0.5e^{0.1i} at 1024 points, where the one pass's chirp would overflow: the omega columns are
         # the abscissae a(z/z2) t_j of frft_forward's second pass, and the reference at them agrees

@@ -5,11 +5,13 @@ import concurrent.futures
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,14 @@ from xft.errors import (
     XftError,
 )
 from xft.hermite import asymptotic_grid, hermite_functions
-from xft.kernel_dense import SINGULARITY_EPS, make_params, mehler_entries, outer_exponents
+from xft.kernel_dense import (
+    SINGULARITY_EPS,
+    UNIT_TOL,
+    asymptotic_kernel,
+    make_params,
+    mehler_entries,
+    outer_exponents,
+)
 from xft.signals import SignalSpec, reference_transform, sample
 from xft.transform import (
     frft_dense_check,
@@ -422,7 +431,7 @@ class TestFractional:
             assert err < 1e-13 * np.max(np.abs(got.values))
 
     def test_unit_z_whose_modulus_rounds_below_one_keeps_one_pass(self):
-        # |z| is half an ulp below 1 and Re(z^2) > 0: within _UNIT_TOL of the unit circle, so the
+        # |z| is half an ulp below 1 and Re(z^2) > 0: within UNIT_TOL of the unit circle, so the
         # one pass of _plan runs, bit for bit, at the scale a(z)
         z = complex(np.exp(0.5621553884711781j))
         assert abs(z) < 1 and (z * z).real > 0
@@ -657,6 +666,23 @@ class TestSplitPass:
         ran = []
         transform._on_two_threads([functools.partial(ran.append, k) for k in range(4)])
         assert sorted(ran) == [0, 1, 2, 3]
+
+    def test_worker_runs_under_the_callers_errstate(self):
+        # frft_forward's overflow check hears the worker's FP flags only through np.errstate, which
+        # a thread does not inherit: the worker runs each call in the caller's context
+        here = threading.current_thread()
+        worker_took_one, seen = threading.Event(), []
+
+        def task():
+            if threading.current_thread() is here:
+                assert worker_took_one.wait(10)
+            else:
+                seen.append(np.geterr()["over"])
+                worker_took_one.set()
+
+        with np.errstate(over="raise"):
+            transform._on_two_threads([task, task])
+        assert seen == ["raise"]
 
     def test_tasks_the_worker_has_not_started_run_here(self):
         # as when another process holds the second CPU and the worker is not scheduled
@@ -919,9 +945,9 @@ def test_unit_circle_norm_identity(n, seed, phi):
 
 
 def _assume_damped(z):
-    """Skip a draw off the damped disk: |z| that rounds to within _UNIT_TOL of 1 runs as a unit z,
+    """Skip a draw off the damped disk: |z| that rounds to within UNIT_TOL of 1 runs as a unit z,
     whose truncation near +-1 the unit-circle tests cover, and |1 - z^2| < SINGULARITY_EPS is refused."""
-    assume(abs(abs(z) - 1) > transform._UNIT_TOL and abs(1 - z * z) >= SINGULARITY_EPS)
+    assume(abs(abs(z) - 1) > UNIT_TOL and abs(1 - z * z) >= SINGULARITY_EPS)
 
 
 @settings(deadline=None)
@@ -1007,3 +1033,108 @@ def test_damped_hermite_functions_are_eigenfunctions(k, mod, arg, n):
     want = math.sqrt(2.0 * math.pi) * z ** k * hermite_functions(k, result.abscissae)[k]
     err = np.max(np.abs(result.values - want))
     assert err < 1e-12 * math.sqrt(2.0 * math.pi) * np.max(np.abs(psi))
+
+
+def _no_warning(fn, *args):
+    """fn(*args), failing on any warning it gave on any thread, also when it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fn(*args)
+        finally:
+            assert not caught, [str(w.message) for w in caught]
+
+
+_DENSE_AND_FAST = {
+    "asymptotic_kernel": lambda g, z: asymptotic_kernel(g.size, z),
+    "frft_dense_check": frft_dense_check,
+    "frft_forward": lambda g, z: frft_forward(g, z).values,
+}
+
+
+class TestUnitBand:
+    """One band, ||z| - 1| <= UNIT_TOL, is the unit circle: past it z is refused, below it damped."""
+
+    @pytest.mark.parametrize("name", _DENSE_AND_FAST)
+    def test_z_just_past_the_band_is_refused_unwarned(self, name):
+        # at 1 + 5e-13 the dense kernels' real exponents, about (|z| - 1) (t_j - t_k)^2 / (2 arg(z)^2)
+        # near z = 1, reach thousands: the Mehler kernel had 238632 non-finite entries
+        g, z = random_signal(1024, 21), (1 + 5e-13) * np.exp(7e-7j)
+        with pytest.raises(OutOfDomainError):
+            _no_warning(_DENSE_AND_FAST[name], g, z)
+
+    @pytest.mark.parametrize("name", _DENSE_AND_FAST)
+    def test_z_at_the_band_edge_gives_finite_output(self, name):
+        g, z = random_signal(1024, 21), complex((1 + 2 * np.finfo(float).eps) * np.exp(7e-7j))
+        assert abs(z) - 1 == UNIT_TOL
+        assert np.isfinite(_no_warning(_DENSE_AND_FAST[name], g, z)).all()
+
+    def test_refusal_names_the_excess_and_the_band(self):
+        with pytest.raises(OutOfDomainError, match=re.escape("|z| - 1 = 5e-13 > UNIT_TOL = 4.44e-16: outside")):
+            make_params((1 + 5e-13) * np.exp(7e-7j))
+
+    def test_chirp_that_overflows_in_the_band_is_refused(self):
+        # Re mu < 0 only past |z| = 1: at 1 + 2 eps, near z = 1, the right chirp row -mu t^2
+        # passes log(float64 max) at N = 2^20, where exp gave Inf after a RuntimeWarning
+        z = complex((1 + 2 * np.finfo(float).eps) * np.exp(5.0001e-7j))
+        with pytest.raises(CapabilityError, match="N = 1048576, .*exponent real part"):
+            _no_warning(frft_forward, np.ones(2**20), z)
+
+
+@settings(deadline=None)
+@given(st.integers(-8, 8), st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(-6.5, -2.0),
+       st.sampled_from([-1, 1]), st.integers(1, 1024), st.sampled_from(list(_DENSE_AND_FAST)))
+def test_band_decides_refusal_and_the_rest_is_finite(k, base, log_offset, sign, n, name):
+    # |z| is k ulps from 1 and arg z within 1e-2 of 0, pi/2 or pi: a z past the band is refused,
+    # and any other gives finite output with no warning, on the fast path and the dense oracles
+    r = 1.0
+    for _ in range(abs(k)):
+        r = np.nextafter(r, 2.0 * k)
+    arg = base + sign * 10.0 ** log_offset
+    z = complex(r * math.cos(arg), r * math.sin(arg))
+    assume(abs(1 - z * z) >= SINGULARITY_EPS)
+    g = random_signal(n, n)
+    if abs(z) > 1 + UNIT_TOL:
+        with pytest.raises(OutOfDomainError):
+            _no_warning(_DENSE_AND_FAST[name], g, z)
+    else:
+        assert np.isfinite(_no_warning(_DENSE_AND_FAST[name], g, z)).all()
+
+
+class TestOverflow:
+    """A finite signal whose transform passes float64's range is refused, never NaN after a warning."""
+
+    @pytest.mark.parametrize("n", [64, 1021, 2**17])
+    @pytest.mark.parametrize("z", [1j, 0.5 * np.exp(0.1j)], ids=["one_pass", "rotated"])
+    def test_overflowing_transform_is_a_capability_error(self, n, z):
+        # rotated, the first pass's Inf reached the second pass's finite check, which called a
+        # finite signal NaN or Inf
+        with pytest.raises(CapabilityError, match=re.escape(f"N = {n}, z = {complex(z):.6g} overflows float64")):
+            _no_warning(frft_forward, np.full(n, 1e307), z)
+
+    @pytest.mark.parametrize("n", [64, 2**17])
+    def test_overflowing_inverse_is_a_capability_error(self, n):
+        with pytest.raises(CapabilityError, match=f"N = {n}, "):
+            _no_warning(xft_inverse, np.full(n, 1e307))
+
+    def test_flag_with_finite_output_returns_the_values(self):
+        # pocketfft raises the overflow flag inside this DFT while every output is finite: the
+        # output, not the flag, decides
+        g, z = random_signal(89, 673) * 10 ** 306.8, np.exp(2.88j)
+        params, scale, back, front = _plan_of(89, z)
+        fired = []
+        with np.errstate(over="call", call=lambda *flag: fired.append(flag)):
+            expected = dft_forward(back * g)
+        assert fired
+        expected *= front
+        values = _no_warning(frft_forward, g, z).values
+        assert np.isfinite(values).all()
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [64, 2**17])
+    def test_non_finite_input_keeps_its_error(self, n):
+        g = np.full(n, 1e307)
+        g[3] = np.inf
+        for z in (1j, 0.5 * np.exp(0.1j)):
+            with pytest.raises(NonFiniteSignalError):
+                _no_warning(frft_forward, g, z)
